@@ -218,17 +218,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     if _maybe_dump_config(args, cfg.to_dict()):
         return 0
-    err = oracle.exact_error(cfg)
+    pmf_p = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.p)
+    pmf_q = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.q)
+    err = oracle.error_from_pmfs(pmf_p, pmf_q, cfg.prior.pi)
     payload: dict = {"config": cfg.to_dict(), "err_exact": err}
-    pmf_p = pmf_q = None
     if args.pmf:
-        pmf_p = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.p)
-        pmf_q = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.q)
         payload["pmf_class1"] = [float(v) for v in pmf_p.mass]
         payload["pmf_class0"] = [float(v) for v in pmf_q.mass]
     if args.format == "json":
         _emit(_json_dumps(payload), args.out)
-    elif pmf_p is not None:
+    elif args.pmf:
         lines = ["k,mass_class1,mass_class0"]
         for k in range(cfg.n + 1):
             lines.append(f"{k},{_csv_num(pmf_p.mass[k])},{_csv_num(pmf_q.mass[k])}")

@@ -83,7 +83,12 @@ class McEstimate:
 def _resolve_threads(threads: Union[int, None]) -> int:
     if threads is None:
         raw = os.environ.get(_THREADS_ENV)
-        threads = int(raw) if raw else 1
+        try:
+            threads = int(raw) if raw else 1
+        except ValueError:
+            raise BadParameter(
+                f"{_THREADS_ENV} must be an integer, got {raw!r}"
+            ) from None
     if threads < 1:
         raise BadParameter(f"threads must be >= 1, got {threads}")
     return threads

@@ -16,9 +16,16 @@ Per model:
   Poisson-Binomial, but every error quantity here is defined
   unconditionally.
 * Geometric: dynamic program over a stationary two-state Markov chain
-  whose lag-k correlations are gamma**k. O(n^2) time, O(n) memory.
+  whose lag-k correlations are gamma**k. It updates preallocated
+  buffers in place, only over the window of sums whose mass can still
+  be a normal double, so the far tails cost nothing. O(n^2) time at
+  worst, O(n) memory; about 0.7 s at n = 20001 on one core of a
+  2-vCPU Xeon VM.
 * Equicorrelated: two-component mixture, lam * (shared coin) +
   (1 - lam) * Binomial(n, r).
+
+``VotePmf`` reports every mass below the smallest normal double
+(``np.finfo(float).tiny``, about 2.2e-308) as exactly 0.
 
 ``brute_force_error`` enumerates all 2**n vote vectors and is the
 slowest, most direct cross-check of all; it is guarded to n <= 20.
@@ -77,6 +84,8 @@ class VotePmf:
         if abs(total - 1.0) > _PMF_SUM_TOL:
             raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
         mass = np.clip(mass, 0.0, None)
+        # Subnormals have lost most or all of their precision; report 0.
+        mass[mass < np.finfo(float).tiny] = 0.0
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
 
@@ -90,17 +99,19 @@ class VotePmf:
         m = self.mean
         return float(((k - m) ** 2) @ self.mass)
 
+    # A partial sum of normalized masses can round to 1 + 1 ulp; a
+    # probability is capped at 1.
     def cdf_at(self, k: int) -> float:
         """P(g <= k), summed directly over the lower masses."""
         if k < 0:
             return 0.0
-        return float(self.mass[: min(k, self.n) + 1].sum())
+        return min(1.0, float(self.mass[: min(k, self.n) + 1].sum()))
 
     def upper_tail(self, k: int) -> float:
         """P(g > k), summed over the upper masses (no 1 - cdf cancellation)."""
         if k >= self.n:
             return 0.0
-        return float(self.mass[max(k, -1) + 1 :].sum())
+        return min(1.0, float(self.mass[max(k, -1) + 1 :].sum()))
 
 
 def binomial_pmf(n: int, rate: float) -> np.ndarray:
@@ -129,19 +140,52 @@ def _markov_sum_pmf(n: int, rate: float, gamma: float) -> np.ndarray:
     States track (running sum, last vote). Transitions use
     t11 = r + gamma (1 - r) and t01 = r (1 - gamma), which keep the
     marginal at r and give lag-k correlation exactly gamma**k.
+
+    The DP works in place on preallocated buffers and only over the
+    window [lo, hi] of sums that may still hold a mass >= the smallest
+    normal double. Each step widens the window by one at the top, then
+    trims either end while both states there are below that threshold.
+    So at most n entries are ever trimmed, each under 2 * tiny, and the
+    output moves by less than 2 n tiny in total (4e-303 at the size
+    guard). Without the trim the tails fill with subnormals, which are
+    slow to compute and carry no correct digits (P(g = n) came out near
+    1e-323 where the truth is near 1e-969). Each element keeps the
+    operation order of the plain full-width recurrence, so masses far
+    above the threshold are bit-identical to it. Cost is O(n * width)
+    time, at most O(n^2), and O(n) memory.
     """
     t11 = rate + gamma * (1.0 - rate)
     t01 = rate * (1.0 - gamma)
-    # last0[k] = P(sum over first i votes = k, vote i = 0); same for last1
-    last0 = np.zeros(n + 1)
-    last1 = np.zeros(n + 1)
+    s11, s01 = 1.0 - t11, 1.0 - t01
+    tiny = np.finfo(float).tiny
+    # last0[k] = P(sum over first i votes = k, vote i = 0); same for last1.
+    # Invariant: both pairs are zero outside the current window.
+    last0, last1, new0, new1, work = np.zeros((5, n + 1))
     last0[0] = 1.0 - rate
     last1[1] = rate
+    lo, hi = 0, 1
     for _ in range(n - 1):
-        new1 = np.zeros(n + 1)
-        new1[1:] = last1[:-1] * t11 + last0[:-1] * t01
-        new0 = last1 * (1.0 - t11) + last0 * (1.0 - t01)
-        last0, last1 = new0, new1
+        prev0, prev1 = last0[lo : hi + 1], last1[lo : hi + 1]
+        tmp = work[: hi + 1 - lo]
+        up = new1[lo + 1 : hi + 2]
+        np.multiply(prev1, t11, out=up)
+        np.multiply(prev0, t01, out=tmp)
+        np.add(up, tmp, out=up)
+        new1[lo] = 0.0
+        stay = new0[lo : hi + 1]
+        np.multiply(prev1, s11, out=stay)
+        np.multiply(prev0, s01, out=tmp)
+        np.add(stay, tmp, out=stay)
+        hi += 1
+        # Zero trimmed entries in both pairs: the old pair is the next
+        # step's output, and a stale mass there would leak back in.
+        while lo < hi and new0[lo] < tiny and new1[lo] < tiny:
+            new0[lo] = new1[lo] = last0[lo] = last1[lo] = 0.0
+            lo += 1
+        while hi > lo and new0[hi] < tiny and new1[hi] < tiny:
+            new0[hi] = new1[hi] = last0[hi] = last1[hi] = 0.0
+            hi -= 1
+        last0, last1, new0, new1 = new0, new1, last0, last1
     out = last0 + last1
     out /= out.sum()
     return out
@@ -170,8 +214,8 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     return VotePmf(n=n, mass=mass)
 
 
-def exact_error(cfg: EnsembleConfig) -> float:
-    """Exact majority-vote error rate.
+def error_from_pmfs(pmf_p: VotePmf, pmf_q: VotePmf, pi: float) -> float:
+    """Majority-vote error rate from the two class-conditional pmfs.
 
     Err(n) = P(g <= floor(n/2) | class 1) pi
            + P(g > floor(n/2) | class 0) (1 - pi).
@@ -179,11 +223,15 @@ def exact_error(cfg: EnsembleConfig) -> float:
     Strict majority with ties to class 0: class 1 is missed whenever
     g fails to exceed n/2, which for integer g means g <= floor(n/2).
     """
-    tie = cfg.n // 2
+    tie = pmf_p.n // 2
+    return pmf_p.cdf_at(tie) * pi + pmf_q.upper_tail(tie) * (1.0 - pi)
+
+
+def exact_error(cfg: EnsembleConfig) -> float:
+    """Exact majority-vote error rate; see ``error_from_pmfs``."""
     pmf_p = exact_vote_pmf(cfg.model, cfg.n, cfg.rates.p)
     pmf_q = exact_vote_pmf(cfg.model, cfg.n, cfg.rates.q)
-    pi = cfg.prior.pi
-    return pmf_p.cdf_at(tie) * pi + pmf_q.upper_tail(tie) * (1.0 - pi)
+    return error_from_pmfs(pmf_p, pmf_q, cfg.prior.pi)
 
 
 def _vector_probabilities(

@@ -181,6 +181,12 @@ class TestSimulate:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_bad_thread_setting_is_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("VOTEPHASE_THREADS", "abc")
+        code, out, err = _run(capsys, self.ARGS)
+        assert code == 1 and out == ""
+        assert err == "votephase: error: VOTEPHASE_THREADS must be an integer, got 'abc'\n"
+
     def test_conditional_csv(self, capsys):
         code, out, _ = _run(
             capsys,

@@ -1,6 +1,9 @@
+import functools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -85,6 +88,10 @@ class TestVotePmf:
         with pytest.raises(BadParameter):
             VotePmf(n=1, mass=np.array([1.2, -0.2]))
 
+    def test_subnormal_mass_reported_as_zero(self):
+        pmf = VotePmf(n=2, mass=np.array([0.5, 5e-324, 0.5]))
+        assert pmf.mass[1] == 0.0
+
     def test_mass_is_read_only(self):
         pmf = VotePmf(n=1, mass=np.array([0.4, 0.6]))
         with pytest.raises(ValueError):
@@ -147,6 +154,130 @@ class TestExactVotePmf:
             exact_vote_pmf(Geometric(gamma=0.5), GEOMETRIC_SIZE_GUARD + 1, 0.5)
 
 
+TINY = np.finfo(float).tiny
+
+
+# The large geometric pmfs take up to a second each; build each once.
+_cached_pmf = functools.lru_cache(maxsize=None)(exact_vote_pmf)
+
+
+def _run_count_log_pmf(n, rate, gamma, ks):
+    """log P(g = k) for a stationary two-state Markov chain, in closed form.
+
+    Counts vote vectors by their runs (Gabriel 1959, Biometrika 46): a
+    vector with k ones in m 1-runs and n - k zeros in z 0-runs, starting
+    with vote s, has C(k-1, m-1) C(n-k-1, z-1) arrangements, each of
+    probability start(s) t11^(k-m) (1-t11)^#10 t01^#01 (1-t01)^(n-k-z).
+    Shares nothing with the DP but the transition formulas.
+    """
+    t11 = rate + gamma * (1.0 - rate)
+    t01 = rate * (1.0 - gamma)
+    l11, l10 = math.log(t11), math.log1p(-t11)
+    l01, l00 = math.log(t01), math.log1p(-t01)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+
+    def log_choose(a, b):
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(math.log1p(-rate) + (n - 1) * l00)
+            continue
+        if k == n:
+            out.append(math.log(rate) + (n - 1) * l11)
+            continue
+        zeros = n - k
+        m = np.arange(1, k + 1)
+        terms = []
+        for start, end in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            z = m - start + (1 - end)  # 0-runs alternate with the 1-runs
+            ok = (z >= 1) & (z <= zeros)
+            mm, zz = m[ok], z[ok]
+            n10 = zz - (1 - start)  # every 0-run but a leading one
+            n01 = mm - start  # every 1-run but a leading one
+            terms.append(
+                log_choose(k - 1, mm - 1)
+                + log_choose(zeros - 1, zz - 1)
+                + (math.log(rate) if start else math.log1p(-rate))
+                + (k - mm) * l11
+                + n10 * l10
+                + n01 * l01
+                + (zeros - zz) * l00
+            )
+        logs = np.concatenate(terms)
+        top = logs.max()
+        out.append(top + math.log(np.exp(logs - top).sum()))
+    return np.array(out)
+
+
+# Two ordinary chains at n = 20001 whose tails underflow, and a nearly
+# bimodal one (long runs) whose whole support is representable.
+LARGE_GEOMETRIC = [(20001, 0.6, 0.8), (20001, 0.4, 0.3), (12001, 0.6, 0.999)]
+
+
+class TestGeometricLargeN:
+    def test_reference_matches_dp_exhaustively_at_small_n(self):
+        n, rate, gamma = 60, 0.35, 0.6
+        ref = np.exp(_run_count_log_pmf(n, rate, gamma, range(n + 1)))
+        mass = exact_vote_pmf(Geometric(gamma=gamma), n, rate).mass
+        np.testing.assert_allclose(mass, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, rate, gamma", LARGE_GEOMETRIC)
+    def test_matches_run_count_reference(self, n, rate, gamma):
+        mass = _cached_pmf(Geometric(gamma=gamma), n, rate).mass
+        support = np.flatnonzero(mass)
+        lo, hi, mode = support[0], support[-1], int(np.argmax(mass))
+        ks = sorted(
+            k
+            for k in {
+                0,
+                n,
+                *range(lo - 40, lo + 300, 4),
+                *range(hi - 300, hi + 40, 4),
+                *range(mode - 2, mode + 3),
+                *range(n // 2 - 2, n // 2 + 3),
+            }
+            if 0 <= k <= n
+        )
+        log_ref = _run_count_log_pmf(n, rate, gamma, ks)
+        dp = mass[ks]
+        normal = dp >= 1e-290
+        assert normal.sum() >= 10
+        # log-factorials near 2e5 carry ~3e-11 absolute error each
+        np.testing.assert_allclose(dp[normal], np.exp(log_ref[normal]), rtol=1e-10)
+        assert np.all(log_ref[dp == 0.0] < math.log(1e-305))
+        # Next to the trimmed edges the DP lacks its neighbours' sub-tiny
+        # mass, so it is only right in magnitude there; a stale buffer
+        # entry would be off by hundreds of orders of magnitude.
+        edge = (dp > 0.0) & ~normal
+        assert np.all(np.abs(np.log(dp[edge]) - log_ref[edge]) < math.log(10.0))
+
+    @pytest.mark.parametrize("n, rate, gamma", LARGE_GEOMETRIC)
+    def test_moments(self, n, rate, gamma):
+        pmf = _cached_pmf(Geometric(gamma=gamma), n, rate)
+        assert pmf.mean == pytest.approx(n * rate, rel=1e-11)
+        assert pmf.variance == pytest.approx(
+            sum_variance(Geometric(gamma=gamma), n, rate), rel=1e-11
+        )
+
+
+class TestNoSubnormals:
+    @pytest.mark.parametrize(
+        "model, n, rate",
+        [
+            (Independent(), 1_000_000, 0.6),
+            (Independent(), 1001, 0.6),
+            (Equicorrelated(lam=0.3), 1_000_000, 0.4),
+            (Geometric(gamma=0.8), 20001, 0.6),
+            (Geometric(gamma=0.999), 12001, 0.6),
+        ],
+    )
+    def test_no_subnormal_masses(self, model, n, rate):
+        mass = _cached_pmf(model, n, rate).mass
+        assert not np.any((mass > 0.0) & (mass < TINY))
+
+
 class TestExactError:
     def test_frozen_binomial_case(self):
         assert exact_error(_cfg(5, 0.7, 0.3)) == pytest.approx(0.16308, abs=1e-12)
@@ -168,6 +299,7 @@ class TestExactError:
         )
 
     @given(n=st.integers(min_value=1, max_value=101), p=rates, q=rates, pi=rates)
+    @example(n=89, p=0.01, q=0.875, pi=0.75)  # cdf_at(44) summed to 1 + 1 ulp
     @settings(max_examples=100)
     def test_in_unit_interval(self, n, p, q, pi):
         assert 0.0 <= exact_error(_cfg(n, p, q, pi)) <= 1.0

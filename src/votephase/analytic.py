@@ -98,25 +98,10 @@ def geometric_variance_factor(gamma: float, n: int) -> float:
     return 1.0 + 2.0 * (g / one_minus) * (1.0 - tail)
 
 
-def geometric_variance_factor_direct(gamma: float, n: int) -> float:
-    """O(n) reference sum for the factor above; kept for cross-checks."""
-    g = _as_probability(gamma, "gamma", BadParameter)
-    n = _as_size(n, "n")
-    total = 1.0
-    power = 1.0
-    for j in range(1, n):
-        power *= g
-        total += 2.0 * (1.0 - j / n) * power
-    return total
-
-
 def sum_variance(model: CorrelationModel, n: int, rate: float) -> float:
     """Exact variance of the n-member vote sum at marginal rate r.
 
-    Independent (with or without heterogeneity): n r (1 - r). The Beta
-    heterogeneity leaves this unchanged because conditioning on the
-    drawn rates and applying total variance collapses back to the
-    Binomial value.
+    Independent: n r (1 - r).
     Geometric: n r (1 - r) * M(gamma, n).
     Equicorrelated: n**2 lam r (1 - r) + n (1 - lam) r (1 - r).
     """

@@ -20,27 +20,22 @@ from .model import (
     BadParameter,
     EnsembleConfig,
     GridSpec,
+    MODELS,
     Prior,
     VotePhaseError,
+    model_class,
     model_from_dict,
 )
 from .sampler import RngSeed
 
 GRID_CSV_HEADER = "p,q,err,err_hat,delta_n,delta_inf,phase,abusive"
 
-_MODEL_PARAM_FLAGS = {
-    "independent": ("heterogeneity",),
-    "geometric": ("gamma",),
-    "equicorrelated": ("lam",),
-}
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1."""
+    """argparse whose usage errors are one `votephase: error:` line, exit 1."""
 
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"votephase: error: {message}\n")
 
 
 def _csv_num(x: float) -> str:
@@ -48,24 +43,12 @@ def _csv_num(x: float) -> str:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--model",
-        choices=["independent", "geometric", "equicorrelated"],
-        help="correlation model",
-    )
-    sub.add_argument("--gamma", type=float, help="geometric decay (geometric model)")
-    sub.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        help="pairwise correlation (equicorrelated model)",
-    )
-    sub.add_argument(
-        "--beta-concentration",
-        dest="heterogeneity",
-        type=float,
-        help="Beta concentration for heterogeneous member rates (independent model)",
-    )
+    sub.add_argument("--model", choices=list(MODELS), help="correlation model")
+    for cls in MODELS.values():
+        if cls.param is not None:
+            sub.add_argument(
+                f"--{cls.param}", type=float, help=f"{cls.param_help} ({cls.kind} model)"
+            )
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
@@ -99,35 +82,28 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _flags(names) -> str:
+    return ", ".join(f"--{name}" for name in sorted(names))
+
+
 def _model_dict(args: argparse.Namespace, file_model: Union[dict, None]) -> Union[dict, None]:
     """Merge model flags over a config-file model, rejecting mismatches."""
-    given = {
-        name: getattr(args, name)
-        for name in ("gamma", "lam", "heterogeneity")
-        if getattr(args, name) is not None
-    }
+    # Each model's parameter has the flag --<param>, stored as args.<param>.
+    params = (cls.param for cls in MODELS.values() if cls.param is not None)
+    given = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
+    from_file = isinstance(file_model, dict) and "kind" in file_model
     kind = args.model
     if kind is None:
         if not given:
             return file_model
-        if not file_model or "kind" not in file_model:
-            raise BadParameter(
-                f"flags {sorted(given)} require --model or a config-file model"
-            )
+        if not from_file:
+            raise BadParameter(f"model flags {_flags(given)} require --model or a config-file model")
         kind = file_model["kind"]
-    allowed = _MODEL_PARAM_FLAGS.get(kind)
-    if allowed is None:
-        raise BadParameter(f"unknown model kind {kind!r}")
-    stray = sorted(set(given) - set(allowed))
+    stray = set(given) - {model_class(kind).param}
     if stray:
-        flag = {"gamma": "--gamma", "lam": "--lambda", "heterogeneity": "--beta-concentration"}
-        raise BadParameter(
-            f"{', '.join(flag[s] for s in stray)} not valid for model {kind!r}"
-        )
-    base = dict(file_model) if file_model and file_model.get("kind") == kind else {"kind": kind}
-    key = {"gamma": "gamma", "lam": "lambda", "heterogeneity": "heterogeneity"}
-    for name, value in given.items():
-        base[key[name]] = value
+        raise BadParameter(f"{_flags(stray)} not valid for model {kind!r}")
+    base = dict(file_model) if from_file and file_model["kind"] == kind else {"kind": kind}
+    base.update(given)
     return base
 
 

@@ -6,9 +6,7 @@ Members share a true-positive rate p on class-1 inputs and a
 false-positive rate q on class-0 inputs, and within each class their
 votes may be dependent. Three dependence regimes are supported:
 
-* ``Independent``: zero pairwise correlation. Optionally the
-  per-classifier rates are themselves random, drawn from a Beta
-  distribution whose mean matches the ensemble rate (heterogeneity).
+* ``Independent``: zero pairwise correlation.
 * ``Geometric``: correlation gamma**|i - j| between members i and j,
   realized by a stationary two-state Markov chain along the ensemble
   ordering.
@@ -25,7 +23,7 @@ degenerate endpoint values are rejected rather than silently handled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from typing import Any, Iterator, Union
 
@@ -109,94 +107,31 @@ class Prior:
         )
 
 
-@dataclass(frozen=True)
-class BetaSpec:
-    """Shape parameters of a Beta distribution over per-member rates."""
-
-    alpha: float
-    beta: float
-
-    _MEAN_TOL = 1e-12
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            v = _as_float(getattr(self, name), name)
-            if v <= 0.0:
-                raise BadParameter(f"{name} must be positive, got {v!r}")
-            object.__setattr__(self, name, v)
-
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def concentration(self) -> float:
-        return self.alpha + self.beta
-
-    @classmethod
-    def from_mean_concentration(cls, mean: float, concentration: float) -> "BetaSpec":
-        """Build the spec with given mean and alpha + beta total.
-
-        The reconstructed mean must match the request to within 1e-12;
-        with IEEE doubles this holds for any valid inputs, so a failure
-        indicates a bug rather than a conditioning problem.
-        """
-        m = _as_probability(mean, "mean", BadParameter)
-        c = _as_float(concentration, "concentration")
-        if c <= 0.0:
-            raise BadParameter(f"concentration must be positive, got {c!r}")
-        spec = cls(alpha=m * c, beta=(1.0 - m) * c)
-        if abs(spec.mean - m) > cls._MEAN_TOL:
-            raise BadParameter(
-                f"mean round-trip error {abs(spec.mean - m):.3e} exceeds 1e-12"
-            )
-        return spec
-
-
 class CorrelationModel:
-    """Marker base for the three dependence regimes."""
+    """Base for the three dependence regimes.
+
+    Each subclass defines the model once: its ``kind`` and ``param``,
+    the name of its one parameter as both JSON key and CLI flag
+    (``--<param>``), or None for a model without one. The parameter is
+    the subclass's only dataclass field.
+    """
 
     kind: str = ""
+    param: Union[str, None] = None
+    param_help: str = ""
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        out: dict = {"kind": self.kind}
+        if self.param is not None:
+            out[self.param] = getattr(self, fields(self)[0].name)
+        return out
 
 
 @dataclass(frozen=True)
 class Independent(CorrelationModel):
-    """Conditionally independent votes.
-
-    ``heterogeneity`` is an optional Beta concentration (alpha + beta).
-    When set, each member's per-class rate is drawn once from a Beta
-    distribution with that concentration whose mean equals the ensemble
-    rate; the unconditional vote-sum distribution is then still
-    Binomial(n, rate), but individual members differ.
-    """
-
-    heterogeneity: Union[float, None] = None
+    """Conditionally independent votes."""
 
     kind = "independent"
-
-    def __post_init__(self) -> None:
-        if self.heterogeneity is not None:
-            c = _as_float(self.heterogeneity, "heterogeneity")
-            if c <= 0.0:
-                raise BadParameter(
-                    f"heterogeneity concentration must be positive, got {c!r}"
-                )
-            object.__setattr__(self, "heterogeneity", c)
-
-    def beta_spec(self, rate: float) -> Union[BetaSpec, None]:
-        """Per-member rate distribution at the given mean, or None."""
-        if self.heterogeneity is None:
-            return None
-        return BetaSpec.from_mean_concentration(rate, self.heterogeneity)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.heterogeneity is not None:
-            out["heterogeneity"] = self.heterogeneity
-        return out
 
 
 @dataclass(frozen=True)
@@ -210,14 +145,24 @@ class Geometric(CorrelationModel):
     gamma: float
 
     kind = "geometric"
+    param = "gamma"
+    param_help = "geometric decay"
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "gamma", _as_probability(self.gamma, "gamma", BadParameter)
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma}
+    def transitions(self, rate):
+        """Chain transitions (t11, t01) at marginal rate r, float or array.
+
+        t11 = P(vote 1 | previous 1) = r + gamma (1 - r)
+        t01 = P(vote 1 | previous 0) = r (1 - gamma)
+
+        Stationarity at Bernoulli(r): (1 - r) t01 + r t11 = r. The lag-1
+        autocorrelation is t11 - t01 = gamma.
+        """
+        return rate + self.gamma * (1.0 - rate), rate * (1.0 - self.gamma)
 
 
 @dataclass(frozen=True)
@@ -233,32 +178,40 @@ class Equicorrelated(CorrelationModel):
     lam: float
 
     kind = "equicorrelated"
+    param = "lambda"
+    param_help = "pairwise correlation"
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "lam", _as_probability(self.lam, "lambda", BadParameter)
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "lambda": self.lam}
+
+# kind -> model class; the JSON schema, the CLI flags and the --model
+# choices are all read from here.
+MODELS = {cls.kind: cls for cls in (Independent, Geometric, Equicorrelated)}
+
+
+def model_class(kind: Any) -> type:
+    """The model class registered under ``kind``."""
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise BadParameter(f"unknown correlation model kind {kind!r}")
+    return MODELS[kind]
 
 
 def model_from_dict(data: dict) -> CorrelationModel:
-    """Inverse of ``CorrelationModel.to_dict``."""
+    """Inverse of ``CorrelationModel.to_dict``; rejects any other key."""
     if not isinstance(data, dict) or "kind" not in data:
         raise BadParameter(f"correlation model must be a dict with 'kind', got {data!r}")
-    kind = data["kind"]
-    if kind == "independent":
-        return Independent(heterogeneity=data.get("heterogeneity"))
-    if kind == "geometric":
-        if "gamma" not in data:
-            raise BadParameter("geometric model requires 'gamma'")
-        return Geometric(gamma=data["gamma"])
-    if kind == "equicorrelated":
-        if "lambda" not in data:
-            raise BadParameter("equicorrelated model requires 'lambda'")
-        return Equicorrelated(lam=data["lambda"])
-    raise BadParameter(f"unknown correlation model kind {kind!r}")
+    cls = model_class(data["kind"])
+    stray = sorted(map(str, set(data) - {"kind", cls.param}))
+    if stray:
+        raise BadParameter(f"{cls.kind} model takes no {', '.join(map(repr, stray))}")
+    if cls.param is None:
+        return cls()
+    if cls.param not in data:
+        raise BadParameter(f"{cls.kind} model requires {cls.param!r}")
+    return cls(data[cls.param])
 
 
 @dataclass(frozen=True)
@@ -302,18 +255,6 @@ class EnsembleConfig:
             prior=Prior(pi=data["pi"]),
             model=model_from_dict(data["model"]),
         )
-
-
-def validate_config(cfg: EnsembleConfig) -> EnsembleConfig:
-    """Re-check every invariant of an existing config and return it.
-
-    Constructors already validate, so this is a defensive re-validation
-    for configs that crossed a serialization or FFI boundary.
-    """
-    if not isinstance(cfg, EnsembleConfig):
-        raise BadParameter(f"expected EnsembleConfig, got {cfg!r}")
-    EnsembleConfig.from_dict(cfg.to_dict())
-    return cfg
 
 
 ASYMPTOTIC = "asymptotic"

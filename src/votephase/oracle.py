@@ -8,13 +8,7 @@ them in the tests.
 
 Per model:
 
-* Independent: Binomial(n, r). Beta heterogeneity leaves this pmf
-  unchanged: member i draws r_i once from a Beta with mean r and then
-  votes Bernoulli(r_i), independently of the others, so marginalizing
-  the draws makes each vote a plain Bernoulli(r) and the sum exactly
-  Binomial(n, r). Conditional on a fixed draw the sum would be
-  Poisson-Binomial, but every error quantity here is defined
-  unconditionally.
+* Independent: Binomial(n, r).
 * Geometric: dynamic program over a stationary two-state Markov chain
   whose lag-k correlations are gamma**k. It updates preallocated
   buffers in place, only over the window of sums whose mass can still
@@ -24,8 +18,8 @@ Per model:
 * Equicorrelated: two-component mixture, lam * (shared coin) +
   (1 - lam) * Binomial(n, r).
 
-``VotePmf`` reports every mass below the smallest normal double
-(``np.finfo(float).tiny``, about 2.2e-308) as exactly 0.
+``VotePmf`` and ``binomial_pmf`` report every mass below the smallest
+normal double (``np.finfo(float).tiny``, about 2.2e-308) as exactly 0.
 
 ``brute_force_error`` enumerates all 2**n vote vectors and is the
 slowest, most direct cross-check of all; it is guarded to n <= 20.
@@ -120,7 +114,9 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     log P(k) - log P(k-1) = log((n - k + 1) / k) + log(r / (1 - r)),
     accumulated with a cumulative sum and exponentiated from the
     running maximum, then normalized. Stable for n up to at least 1e6
-    where direct factorials or products would over/underflow.
+    where direct factorials or products would over/underflow. Masses
+    below the smallest normal double are returned as 0, as in
+    ``VotePmf``.
     """
     n = _as_size(n, "n")
     r = _as_probability(rate, "rate")
@@ -131,15 +127,16 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     logs[1:] = logs[0] + np.cumsum(np.log((n - k + 1.0) / k) + log_odds)
     out = np.exp(logs - logs.max())
     out /= out.sum()
+    out[out < np.finfo(float).tiny] = 0.0
     return out
 
 
-def _markov_sum_pmf(n: int, rate: float, gamma: float) -> np.ndarray:
+def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
     """DP for the sum of a stationary two-state Markov chain.
 
-    States track (running sum, last vote). Transitions use
-    t11 = r + gamma (1 - r) and t01 = r (1 - gamma), which keep the
-    marginal at r and give lag-k correlation exactly gamma**k.
+    States track (running sum, last vote). Transitions are
+    ``Geometric.transitions``, which keep the marginal at r and give
+    lag-k correlation exactly gamma**k.
 
     The DP works in place on preallocated buffers and only over the
     window [lo, hi] of sums that may still hold a mass >= the smallest
@@ -154,8 +151,7 @@ def _markov_sum_pmf(n: int, rate: float, gamma: float) -> np.ndarray:
     above the threshold are bit-identical to it. Cost is O(n * width)
     time, at most O(n^2), and O(n) memory.
     """
-    t11 = rate + gamma * (1.0 - rate)
-    t01 = rate * (1.0 - gamma)
+    t11, t01 = model.transitions(rate)
     s11, s01 = 1.0 - t11, 1.0 - t01
     tiny = np.finfo(float).tiny
     # last0[k] = P(sum over first i votes = k, vote i = 0); same for last1.
@@ -196,15 +192,13 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     n = _as_size(n, "n")
     r = _as_probability(rate, "rate")
     if isinstance(model, Independent):
-        # Heterogeneous rates average out: unconditionally each vote is
-        # Bernoulli(r) and votes stay independent, so same Binomial.
         mass = binomial_pmf(n, r)
     elif isinstance(model, Geometric):
         if n > GEOMETRIC_SIZE_GUARD:
             raise SizeGuardExceeded(
                 f"geometric pmf is O(n^2); n={n} exceeds guard {GEOMETRIC_SIZE_GUARD}"
             )
-        mass = _markov_sum_pmf(n, r, model.gamma)
+        mass = _markov_sum_pmf(n, r, model)
     elif isinstance(model, Equicorrelated):
         mass = (1.0 - model.lam) * binomial_pmf(n, r)
         mass[0] += model.lam * (1.0 - r)
@@ -244,8 +238,7 @@ def _vector_probabilities(
     if isinstance(model, Independent):
         return independent
     if isinstance(model, Geometric):
-        t11 = rate + model.gamma * (1.0 - rate)
-        t01 = rate * (1.0 - model.gamma)
+        t11, t01 = model.transitions(rate)
         prob = np.where(bits[:, 0] == 1, rate, 1.0 - rate)
         for i in range(1, n):
             stay = np.where(bits[:, i - 1] == 1, t11, t01)

@@ -8,12 +8,11 @@ independent of outcomes, which keeps mixed-class batches deterministic.
 
 Generative constructions, conditioned on one class at marginal rate r:
 
-* Independent: n i.i.d. Bernoulli(r) votes. With heterogeneity, each
-  member first draws its own rate from a Beta with mean r, then votes.
+* Independent: n i.i.d. Bernoulli(r) votes.
 * Geometric: a stationary two-state Markov chain started from
-  Bernoulli(r) with transitions t11 = r + gamma (1 - r) and
-  t01 = r (1 - gamma). The chain's second eigenvalue is gamma, so the
-  lag-k autocorrelation is exactly gamma**k and the marginal stays r.
+  Bernoulli(r) with the transitions of ``Geometric.transitions``. The
+  chain's second eigenvalue is gamma, so the lag-k autocorrelation is
+  exactly gamma**k and the marginal stays r.
 * Equicorrelated: with probability lam all n members copy one shared
   Bernoulli(r) coin; otherwise they vote independently. Pairwise
   correlation is lam for every pair.
@@ -31,13 +30,11 @@ import numpy as np
 
 from .model import (
     BadParameter,
-    BetaSpec,
     CorrelationModel,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
     Independent,
-    _as_probability,
     _as_size,
 )
 
@@ -73,20 +70,6 @@ def make_rng(seed: RngSeed, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def markov_transition_probs(rate: float, gamma: float) -> tuple:
-    """Transition probabilities of the geometric-correlation chain.
-
-    t11 = P(vote 1 | previous 1) = r + gamma (1 - r)
-    t01 = P(vote 1 | previous 0) = r (1 - gamma)
-
-    Stationarity at Bernoulli(r): (1 - r) t01 + r t11 = r. The lag-1
-    autocorrelation is t11 - t01 = gamma.
-    """
-    r = _as_probability(rate, "rate")
-    g = _as_probability(gamma, "gamma", BadParameter)
-    return r + g * (1.0 - r), r * (1.0 - g)
-
-
 def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
     rates = np.asarray(rate, dtype=float)
     if rates.ndim == 0:
@@ -112,17 +95,9 @@ def sample_matrix(
     count = _as_size(count, "count")
     rates = _per_row_rates(rate, count)
     if isinstance(model, Independent):
-        if model.heterogeneity is None:
-            return (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
-        c = model.heterogeneity
-        member_rates = rng.beta(
-            rates[:, None] * c, (1.0 - rates[:, None]) * c, size=(count, n)
-        )
-        return (rng.random((count, n)) < member_rates).astype(np.uint8)
+        return (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
     if isinstance(model, Geometric):
-        g = model.gamma
-        t11 = rates + g * (1.0 - rates)
-        t01 = rates * (1.0 - g)
+        t11, t01 = model.transitions(rates)
         u = rng.random((count, n))
         votes = np.empty((count, n), dtype=np.uint8)
         votes[:, 0] = u[:, 0] < rates
@@ -138,22 +113,6 @@ def sample_matrix(
     raise BadParameter(f"unknown correlation model {model!r}")
 
 
-def sample_votes(
-    model: CorrelationModel, n: int, rate: float, seed: RngSeed
-) -> VoteVector:
-    """One vote vector conditioned on a class at marginal ``rate``."""
-    rng = make_rng(seed)
-    return sample_matrix(model, n, rate, 1, rng)[0]
-
-
-def sample_votes_heterogeneous(spec: BetaSpec, n: int, seed: RngSeed) -> VoteVector:
-    """One vote vector with member rates drawn i.i.d. from Beta(spec)."""
-    n = _as_size(n, "n")
-    rng = make_rng(seed)
-    member_rates = rng.beta(spec.alpha, spec.beta, size=n)
-    return (rng.random(n) < member_rates).astype(np.uint8)
-
-
 def sample_labeled_votes(
     cfg: EnsembleConfig, count: int, rng: np.random.Generator
 ) -> tuple:
@@ -167,13 +126,3 @@ def sample_labeled_votes(
     rates = np.where(labels == 1, cfg.rates.p, cfg.rates.q)
     votes = sample_matrix(cfg.model, cfg.n, rates, count, rng)
     return labels, votes
-
-
-def majority_vote(votes: VoteVector) -> int:
-    """1 iff the votes sum to a strict majority; ties go to 0."""
-    arr = np.asarray(votes)
-    if arr.ndim != 1 or arr.size == 0:
-        raise BadParameter("votes must be a nonempty 1-d sequence")
-    if not np.isin(arr, (0, 1)).all():
-        raise BadParameter("votes must be binary")
-    return int(2 * int(arr.sum()) > arr.size)

@@ -14,7 +14,6 @@ from votephase.analytic import (
     estimated_error,
     estimated_error_asymptotic,
     geometric_variance_factor,
-    geometric_variance_factor_direct,
     limiting_delta,
     limiting_error,
     mean_individual_error,
@@ -33,6 +32,7 @@ from votephase.model import (
     Prior,
     RatePair,
 )
+from reference import geometric_variance_factor_direct
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)
@@ -129,8 +129,6 @@ class TestGeometricVarianceFactor:
 class TestSumVariance:
     def test_independent(self):
         assert sum_variance(Independent(), 10, 0.5) == 2.5
-        # heterogeneity leaves the unconditional variance unchanged
-        assert sum_variance(Independent(heterogeneity=2.0), 10, 0.5) == 2.5
 
     def test_geometric(self):
         expected = 100 * 0.24 * geometric_variance_factor(0.8, 100)
@@ -186,11 +184,6 @@ class TestEstimatedError:
         cfg = _cfg(25, 0.7, 0.3)
         miss = std_normal_cdf((25 / 2.0 - 25 * 0.7) / math.sqrt(25 * 0.7 * 0.3))
         assert estimated_error(cfg) == pytest.approx(miss, rel=1e-15)
-
-    def test_heterogeneity_does_not_change_estimate(self):
-        plain = estimated_error(_cfg(100, 0.6, 0.4))
-        hetero = estimated_error(_cfg(100, 0.6, 0.4, model=Independent(heterogeneity=5)))
-        assert plain == hetero
 
     @given(n=st.integers(min_value=1, max_value=2000), p=rates, q=rates, pi=rates)
     @settings(max_examples=200)

@@ -1,0 +1,112 @@
+"""The benchmark in perfbench/ must still find everything it uses.
+
+The benchmark lists a traced function that has vanished as "missing"
+rather than failing, so a refactor could silently drop a per-layer
+metric. These tests resolve every name the benchmark takes from
+votephase and run the benchmark's own unit tests.
+"""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SOURCES = ("workloads.py", "layers.py", "run.py")
+
+sys.path.insert(0, str(PERFBENCH))
+import layers  # noqa: E402
+import run  # noqa: E402
+
+
+def _resolve(dotted: str):
+    """getattr along ``dotted``, importing the longest module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def _dotted(node) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return f"{head}.{node.attr}" if head else ""
+    return ""
+
+
+def _used_names(source: str) -> set:
+    """Dotted votephase names that benchmark code uses.
+
+    Covers ``from votephase[.mod] import name``, attribute chains on
+    ``votephase`` or on the package handle ``vp``, chains on a name
+    bound from ``vp.<mod>``, and code held in string constants (the
+    set-up probes that run in a fresh interpreter).
+    """
+    tree = ast.parse(source)
+    names, aliases = set(), {"vp": "votephase", "votephase": "votephase"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("votephase"):
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Constant) and "votephase" in str(node.value):
+            try:
+                names |= _used_names(node.value)
+            except SyntaxError:
+                pass
+        elif isinstance(node, ast.Assign):
+            target = node.targets[0]
+            targets = target.elts if isinstance(target, ast.Tuple) else [target]
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            for t, v in zip(targets, values):
+                if isinstance(t, ast.Name) and _dotted(v).startswith("vp."):
+                    aliases[t.id] = "votephase" + _dotted(v)[2:]
+    for node in ast.walk(tree):
+        root, _, rest = _dotted(node).partition(".")
+        if rest and root in aliases:
+            names.add(f"{aliases[root]}.{rest}")
+    return names
+
+
+@pytest.mark.parametrize("target", [t[0] for t in layers.TARGETS])
+def test_traced_target_resolves(target):
+    assert callable(_resolve(target))
+
+
+def test_names_taken_from_votephase_resolve():
+    names = set().union(*(_used_names((PERFBENCH / f).read_text()) for f in SOURCES))
+    names.update(f"votephase.{module}" for module in run.MODULES)
+    # a parse that found nothing would make this test vacuous
+    assert {
+        "votephase.EnsembleConfig",
+        "votephase.cli.build_parser",
+        "votephase.cli.main",
+        "votephase.montecarlo.mc_error",
+        "votephase.oracle.exact_vote_pmf",
+    } <= names
+    for name in sorted(names):
+        _resolve(name)
+
+
+def test_perfbench_unit_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", str(PERFBENCH)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votephase import analytic, montecarlo, oracle
 from votephase.cli import GRID_CSV_HEADER, main
@@ -127,6 +133,41 @@ class TestConfigMerging:
             capsys, ["analytic", "--n", "5", "--p", "1.5", "--q", "0.3", "--pi", "0.5"]
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("subcommand", ["oracle", "phase-grid"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "independent", "gamma": 0.9},
+            {"kind": "geometric", "gamma": 0.9, "lambda": 0.3},
+            {"kind": "independent", "heterogeneity": 5.0},
+        ],
+    )
+    def test_stray_model_key_in_config_rejected(self, capsys, tmp_path, subcommand, model):
+        config = {"pi": 0.5, "model": model}
+        config.update({"n": 15, "p": 0.7, "q": 0.3} if subcommand == "oracle" else {"resolution": 3})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, [subcommand, "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+        assert "takes no" in err
+
+    @pytest.mark.parametrize("model", [{"kind": ["geometric"]}, 5, "geometric"])
+    def test_malformed_config_model_with_flag_rejected(self, capsys, tmp_path, model):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 15, "p": 0.7, "q": 0.3, "pi": 0.5, "model": model}))
+        code, out, err = _run(capsys, ["analytic", "--config", str(path), "--gamma", "0.5"])
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+
+    def test_removed_flag_is_one_line_usage_error(self, capsys):
+        code, out, err = _run(
+            capsys, ["analytic", *BASE, "--model", "independent", "--beta-concentration", "5"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+        assert "--beta-concentration" in err
 
 
 class TestOracle:
@@ -319,3 +360,78 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["phase"] == "-"
+
+
+# The model surface: each model kind, any mix of model parameters (its
+# own, another model's, a removed one) and values in or out of range,
+# given either as flags or in a --config file.
+_FUZZ_KINDS = [None, "independent", "geometric", "equicorrelated", "mystery"]
+# parameter -> (flag, config key); heterogeneity was removed
+_FUZZ_PARAMS = {
+    "gamma": ("--gamma", "gamma"),
+    "lambda": ("--lambda", "lambda"),
+    "heterogeneity": ("--beta-concentration", "heterogeneity"),
+}
+_FUZZ_VALUES = [0.3, 0.9, 0.0, 1.0, -0.5, 1.5, float("nan"), float("inf"), "abc"]
+_OWN_PARAM = {"independent": None, "geometric": "gamma", "equicorrelated": "lambda"}
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _surface_argv(subcommand, kind, params, source, directory):
+    if subcommand == "phase-grid":
+        base = {"resolution": 3, "n": 15, "pi": 0.5}
+    else:
+        base = {"n": 15, "p": 0.7, "q": 0.3, "pi": 0.5}
+    if source == "flag":
+        argv = [subcommand]
+        for key, value in base.items():
+            argv += [f"--{key}", str(value)]
+        if kind is not None:
+            argv += ["--model", kind]
+        for name, value in params.items():
+            argv += [_FUZZ_PARAMS[name][0], str(value)]
+        return argv
+    model = {} if kind is None else {"kind": kind}
+    model.update({_FUZZ_PARAMS[name][1]: value for name, value in params.items()})
+    if model:
+        base["model"] = model
+    path = Path(directory) / "cfg.json"
+    path.write_text(json.dumps(base))
+    return [subcommand, "--config", str(path)]
+
+
+class TestModelSurfaceFuzz:
+    @given(
+        subcommand=st.sampled_from(["analytic", "oracle", "phase-grid"]),
+        kind=st.sampled_from(_FUZZ_KINDS),
+        params=st.dictionaries(
+            st.sampled_from(sorted(_FUZZ_PARAMS)), st.sampled_from(_FUZZ_VALUES), max_size=3
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flag_and_config_agree(self, subcommand, kind, params):
+        results = {}
+        with tempfile.TemporaryDirectory() as directory:
+            for source in ("flag", "config"):
+                argv = _surface_argv(subcommand, kind, params, source, directory)
+                code, out, err = _run_quiet(argv)
+                if code == 0:
+                    assert err == "", (argv, err)
+                else:
+                    assert code == 1 and out == "", (argv, code)
+                    assert err.startswith("votephase: error: "), (argv, err)
+                    assert err.count("\n") == 1, (argv, err)
+                results[source] = (code, out)
+        assert results["flag"] == results["config"]
+        own = _OWN_PARAM.get(kind, "unknown kind")
+        accepted = (kind is None and not params) or (
+            set(params) == ({own} - {None})
+            and all(isinstance(v, float) and 0.0 < v < 1.0 for v in params.values())
+        )
+        assert (results["flag"][0] == 0) == accepted, (kind, params)

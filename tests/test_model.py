@@ -1,5 +1,6 @@
-import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,20 +9,17 @@ from votephase.model import (
     ASYMPTOTIC,
     BadParameter,
     BadSize,
-    BetaSpec,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
     GridSpec,
     Independent,
+    MODELS,
     Prior,
     RateOutOfRange,
     RatePair,
     model_from_dict,
-    validate_config,
 )
-
-probabilities = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, exclude_min=False)
 
 
 class TestRatePair:
@@ -63,47 +61,7 @@ class TestPrior:
                 Prior(pi=bad)
 
 
-class TestBetaSpec:
-    def test_positive_shapes_required(self):
-        BetaSpec(alpha=2.0, beta=3.0)
-        for alpha, beta in ((0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)):
-            with pytest.raises(BadParameter):
-                BetaSpec(alpha=alpha, beta=beta)
-
-    def test_mean_and_concentration(self):
-        spec = BetaSpec(alpha=2.0, beta=6.0)
-        assert spec.mean == 0.25
-        assert spec.concentration == 8.0
-
-    @given(mean=probabilities, conc=st.floats(min_value=1e-6, max_value=1e9))
-    @settings(max_examples=200)
-    def test_from_mean_concentration_round_trips(self, mean, conc):
-        spec = BetaSpec.from_mean_concentration(mean, conc)
-        assert abs(spec.mean - mean) <= 1e-12
-        assert math.isclose(spec.concentration, conc, rel_tol=1e-12)
-
-    def test_from_mean_concentration_rejects_bad_inputs(self):
-        with pytest.raises(BadParameter):
-            BetaSpec.from_mean_concentration(0.5, 0.0)
-        with pytest.raises(BadParameter):
-            BetaSpec.from_mean_concentration(1.0, 5.0)
-
-
 class TestCorrelationModels:
-    def test_independent_heterogeneity_domain(self):
-        assert Independent().heterogeneity is None
-        assert Independent(heterogeneity=4.0).heterogeneity == 4.0
-        with pytest.raises(BadParameter):
-            Independent(heterogeneity=0.0)
-        with pytest.raises(BadParameter):
-            Independent(heterogeneity=-1.0)
-
-    def test_independent_beta_spec(self):
-        assert Independent().beta_spec(0.7) is None
-        spec = Independent(heterogeneity=10.0).beta_spec(0.7)
-        assert abs(spec.mean - 0.7) <= 1e-12
-        assert spec.concentration == 10.0
-
     @pytest.mark.parametrize("cls,field", [(Geometric, "gamma"), (Equicorrelated, "lam")])
     def test_open_interval_parameters(self, cls, field):
         assert getattr(cls(**{field: 0.5}), field) == 0.5
@@ -114,7 +72,6 @@ class TestCorrelationModels:
     def test_dict_round_trip(self):
         for model in (
             Independent(),
-            Independent(heterogeneity=3.5),
             Geometric(gamma=0.8),
             Equicorrelated(lam=0.25),
         ):
@@ -133,6 +90,37 @@ class TestCorrelationModels:
             model_from_dict({"kind": "geometric"})
         with pytest.raises(BadParameter):
             model_from_dict("independent")
+        with pytest.raises(BadParameter):
+            model_from_dict({"kind": ["geometric"], "gamma": 0.5})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "independent", "gamma": 0.9},
+            {"kind": "independent", "heterogeneity": 5.0},
+            {"kind": "geometric", "gamma": 0.9, "lambda": 0.3},
+            {"kind": "equicorrelated", "lambda": 0.3, "lam": 0.3},
+            {"kind": "geometric", "gamma": 0.9, 1: 2},
+        ],
+    )
+    def test_model_from_dict_rejects_stray_keys(self, data):
+        with pytest.raises(BadParameter, match="takes no"):
+            model_from_dict(data)
+
+    def test_registry_defines_each_model_once(self):
+        assert list(MODELS) == ["independent", "geometric", "equicorrelated"]
+        for kind, cls in MODELS.items():
+            assert cls.kind == kind
+            names = [f.name for f in fields(cls)]
+            assert len(names) == (cls.param is not None)
+
+    @given(rate=st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=50)
+    def test_transitions_on_arrays_match_scalars(self, rate):
+        model = Geometric(gamma=0.7)
+        t11, t01 = model.transitions(np.array([rate, 0.5]))
+        assert (t11[0], t01[0]) == model.transitions(rate)
+        assert (t11[1], t01[1]) == model.transitions(0.5)
 
 
 class TestEnsembleConfig:
@@ -166,12 +154,6 @@ class TestEnsembleConfig:
     def test_from_dict_missing_keys(self):
         with pytest.raises(BadParameter):
             EnsembleConfig.from_dict({"n": 5, "p": 0.7})
-
-    def test_validate_config_returns_same_object(self):
-        cfg = self._cfg()
-        assert validate_config(cfg) is cfg
-        with pytest.raises(BadParameter):
-            validate_config("nope")
 
 
 class TestGridSpec:

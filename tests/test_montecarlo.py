@@ -97,12 +97,6 @@ class TestMcError:
         err = mean_individual_error(cfg.rates, cfg.prior)
         assert abs(est.value - err) <= 4 * est.std_error
 
-    def test_heterogeneous_model_matches_binomial_oracle(self):
-        cfg = _cfg(9, 0.7, 0.3, model=Independent(heterogeneity=4.0))
-        est = mc_error(cfg, 60_000, RngSeed(seed=77))
-        oracle_cfg = _cfg(9, 0.7, 0.3)
-        assert abs(est.value - exact_error(oracle_cfg)) <= 4 * est.std_error
-
     def test_clt_consistency_at_large_n(self):
         # deep in the beneficial region both the simulation and the
         # normal estimate are essentially zero

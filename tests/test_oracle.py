@@ -111,11 +111,6 @@ class TestExactVotePmf:
             exact_vote_pmf(Independent(), 7, 0.4).mass, binomial_pmf(7, 0.4)
         )
 
-    def test_heterogeneity_marginalizes_away(self):
-        plain = exact_vote_pmf(Independent(), 7, 0.4)
-        hetero = exact_vote_pmf(Independent(heterogeneity=2.5), 7, 0.4)
-        np.testing.assert_array_equal(plain.mass, hetero.mass)
-
     def test_frozen_markov_n2(self):
         # t11 = 0.8, t01 = 0.3 at r = 0.6, gamma = 0.5
         pmf = exact_vote_pmf(Geometric(gamma=0.5), 2, 0.6)
@@ -276,6 +271,13 @@ class TestNoSubnormals:
     def test_no_subnormal_masses(self, model, n, rate):
         mass = _cached_pmf(model, n, rate).mass
         assert not np.any((mass > 0.0) & (mass < TINY))
+
+    @pytest.mark.parametrize("n", [1001, 1_000_000])
+    def test_binomial_pmf_direct_call(self, n):
+        # 10 and 949 masses here were subnormal before the flush
+        mass = binomial_pmf(n, 0.6)
+        assert not np.any((mass > 0.0) & (mass < TINY))
+        np.testing.assert_array_equal(mass, exact_vote_pmf(Independent(), n, 0.6).mass)
 
 
 class TestExactError:

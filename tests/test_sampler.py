@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from votephase.model import (
     BadParameter,
-    BetaSpec,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
@@ -17,13 +16,9 @@ from votephase.model import (
 )
 from votephase.sampler import (
     RngSeed,
-    majority_vote,
     make_rng,
-    markov_transition_probs,
     sample_labeled_votes,
     sample_matrix,
-    sample_votes,
-    sample_votes_heterogeneous,
 )
 
 rates = st.floats(min_value=0.05, max_value=0.95)
@@ -61,15 +56,15 @@ class TestMakeRng:
 
 class TestMarkovTransitionProbs:
     def test_frozen_examples(self):
-        assert markov_transition_probs(0.6, 0.5) == (0.8, 0.3)
-        t11, t01 = markov_transition_probs(0.5, 0.9)
+        assert Geometric(gamma=0.5).transitions(0.6) == (0.8, 0.3)
+        t11, t01 = Geometric(gamma=0.9).transitions(0.5)
         assert t11 == pytest.approx(0.95, rel=1e-15)
         assert t01 == pytest.approx(0.05, rel=1e-15)
 
     @given(rate=rates, gamma=rates)
     @settings(max_examples=200)
     def test_stationarity_and_lag_one(self, rate, gamma):
-        t11, t01 = markov_transition_probs(rate, gamma)
+        t11, t01 = Geometric(gamma=gamma).transitions(rate)
         assert 0.0 < t01 < 1.0 and 0.0 < t11 < 1.0
         # Bernoulli(rate) is stationary and the eigenvalue gap is gamma
         assert (1 - rate) * t01 + rate * t11 == pytest.approx(rate, abs=1e-15)
@@ -79,8 +74,8 @@ class TestMarkovTransitionProbs:
 class TestSampleVotes:
     def test_shape_dtype_determinism(self):
         seed = RngSeed(seed=123)
-        v1 = sample_votes(Geometric(gamma=0.5), 20, 0.6, seed)
-        v2 = sample_votes(Geometric(gamma=0.5), 20, 0.6, seed)
+        v1 = sample_matrix(Geometric(gamma=0.5), 20, 0.6, 1, make_rng(seed))[0]
+        v2 = sample_matrix(Geometric(gamma=0.5), 20, 0.6, 1, make_rng(seed))[0]
         assert v1.shape == (20,) and v1.dtype == np.uint8
         assert set(np.unique(v1)) <= {0, 1}
         np.testing.assert_array_equal(v1, v2)
@@ -120,27 +115,6 @@ class TestSampleVotes:
         np.testing.assert_allclose(votes.mean(axis=0), rate, atol=tol)
 
 
-class TestSampleVotesHeterogeneous:
-    def test_uniform_rates_n1_total_variance(self):
-        # Beta(1,1) member rates: unconditional vote mean 1/2, var 1/4
-        spec = BetaSpec(alpha=1.0, beta=1.0)
-        draws = np.array(
-            [sample_votes_heterogeneous(spec, 1, RngSeed(seed=s))[0] for s in range(20_000)]
-        )
-        assert draws.mean() == pytest.approx(0.5, abs=0.012)
-        assert draws.var() == pytest.approx(0.25, abs=0.01)
-
-    def test_high_concentration_matches_homogeneous(self):
-        spec = BetaSpec.from_mean_concentration(0.7, 1e6)
-        votes = sample_votes_heterogeneous(spec, 100_000, RngSeed(seed=23))
-        assert votes.mean() == pytest.approx(0.7, abs=4 * math.sqrt(0.21 / 100_000))
-
-    def test_low_concentration_keeps_unconditional_mean(self):
-        spec = BetaSpec.from_mean_concentration(0.7, 5.0)
-        votes = sample_votes_heterogeneous(spec, 100_000, RngSeed(seed=29))
-        assert votes.mean() == pytest.approx(0.7, abs=4 * math.sqrt(0.21 / 100_000))
-
-
 class TestSampleLabeledVotes:
     def test_calibration_and_determinism(self):
         cfg = EnsembleConfig(
@@ -156,17 +130,6 @@ class TestSampleLabeledVotes:
         assert p_hat == pytest.approx(0.8, abs=0.01)
         assert q_hat == pytest.approx(0.2, abs=0.01)
 
-    def test_heterogeneous_model_mixes_classes(self):
-        cfg = EnsembleConfig(
-            n=20,
-            rates=RatePair(p=0.75, q=0.25),
-            prior=Prior(pi=0.5),
-            model=Independent(heterogeneity=3.0),
-        )
-        labels, votes = sample_labeled_votes(cfg, 30_000, make_rng(RngSeed(seed=37)))
-        assert votes[labels == 1].mean() == pytest.approx(0.75, abs=0.01)
-        assert votes[labels == 0].mean() == pytest.approx(0.25, abs=0.01)
-
 
 class TestSampleMatrixValidation:
     def test_rate_vector_must_match_count(self):
@@ -178,24 +141,3 @@ class TestSampleMatrixValidation:
         rng = make_rng(RngSeed(seed=1))
         with pytest.raises(BadParameter):
             sample_matrix(object(), 5, 0.5, 3, rng)
-
-
-class TestMajorityVote:
-    def test_examples(self):
-        assert majority_vote([1, 1, 0]) == 1
-        assert majority_vote([1, 0, 1, 0]) == 0  # tie goes to class 0
-        assert majority_vote([0, 0, 0, 0, 0]) == 0
-        assert majority_vote(np.array([1], dtype=np.uint8)) == 1
-
-    def test_validation(self):
-        with pytest.raises(BadParameter):
-            majority_vote([])
-        with pytest.raises(BadParameter):
-            majority_vote([0, 2, 1])
-        with pytest.raises(BadParameter):
-            majority_vote([[1, 0], [0, 1]])
-
-    @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
-    @settings(max_examples=200)
-    def test_strict_majority_rule(self, bits):
-        assert majority_vote(bits) == int(2 * sum(bits) > len(bits))

@@ -32,7 +32,14 @@ GRID_CSV_HEADER = "p,q,err,err_hat,delta_n,delta_inf,phase,abusive"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors are one `votephase: error:` line, exit 1."""
+    """argparse whose usage errors are one `votephase: error:` line, exit 1.
+
+    Flags must be spelled in full, as config keys are: no prefix of a
+    flag is read as the flag. Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs, allow_abbrev=False)
 
     def error(self, message: str) -> None:
         self.exit(1, f"votephase: error: {message}\n")
@@ -220,11 +227,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     seed = RngSeed(seed=args.seed, stream=args.stream)
     if args.conditional is None:
-        estimate = montecarlo.mc_error(cfg, args.reps, seed, threads=args.threads)
+        estimate = montecarlo.mc_error(cfg, args.reps, seed)
     else:
-        estimate = montecarlo.mc_conditional_error(
-            cfg, args.conditional, args.reps, seed, threads=args.threads
-        )
+        estimate = montecarlo.mc_conditional_error(cfg, args.conditional, args.reps, seed)
     payload = {
         "config": cfg.to_dict(),
         "conditional": args.conditional,
@@ -373,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[0, 1],
         help="estimate one class's error instead of the overall rate",
     )
-    p_sim.add_argument("--threads", type=int, help="worker threads (speed only)")
     _add_output_flags(p_sim, ["json", "csv"], "json")
     p_sim.set_defaults(func=_cmd_simulate)
 

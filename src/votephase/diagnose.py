@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .analytic import PhaseVerdict, limiting_delta, mean_individual_error
+from .analytic import PhaseVerdict, limiting_delta
 from .model import (
     BadParameter,
     BadSize,
@@ -113,23 +115,24 @@ class DiagnosisReport:
     lag_means_class0: Union[np.ndarray, None] = None
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a statistic that is not finite becomes None."""
         out = {
             "n_samples": self.n_samples,
             "n_classifiers": self.n_classifiers,
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "p_hat_i": [float(v) for v in self.p_hat_i],
-            "q_hat_i": [float(v) for v in self.q_hat_i],
-            "p_std_error": self.p_std_error,
-            "q_std_error": self.q_std_error,
-            "corr_class1": self.corr_class1,
-            "corr_class0": self.corr_class0,
-            "pi_used": self.pi_used,
+            "p_hat": _finite(self.p_hat),
+            "q_hat": _finite(self.q_hat),
+            "p_hat_i": [_finite(v) for v in self.p_hat_i],
+            "q_hat_i": [_finite(v) for v in self.q_hat_i],
+            "p_std_error": _finite(self.p_std_error),
+            "q_std_error": _finite(self.q_std_error),
+            "corr_class1": _finite(self.corr_class1),
+            "corr_class0": _finite(self.corr_class0),
+            "pi_used": _finite(self.pi_used),
             "pi_source": self.pi_source,
-            "err_hat_individual": self.err_hat_individual,
-            "err_majority": self.err_majority,
+            "err_hat_individual": _finite(self.err_hat_individual),
+            "err_majority": _finite(self.err_majority),
             "verdict": {
-                "delta_inf": self.verdict.delta_inf,
+                "delta_inf": _finite(self.verdict.delta_inf),
                 "phase": self.verdict.phase.name.lower(),
                 "sign": self.verdict.phase.value,
                 "p_side": self.verdict.p_side.value,
@@ -141,8 +144,14 @@ class DiagnosisReport:
         for name in ("lag_means_class1", "lag_means_class0"):
             lags = getattr(self, name)
             if lags is not None:
-                out[name] = [float(v) for v in lags]
+                out[name] = [_finite(v) for v in lags]
         return out
+
+
+def _finite(x: float) -> Union[float, None]:
+    """float(x), or None (JSON null) for nan and the infinities."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _mean_pairwise_correlation(block: np.ndarray) -> tuple:
@@ -184,7 +193,10 @@ def _lag_means(corr: Union[np.ndarray, None]) -> Union[np.ndarray, None]:
     if corr is None:
         return None
     m = corr.shape[0]
-    with np.errstate(invalid="ignore"):
+    # A lag with no valid pair has mean nan; numpy's "Mean of empty
+    # slice" warning would reach stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         return np.array([float(np.nanmean(np.diag(corr, k))) for k in range(1, m)])
 
 
@@ -292,11 +304,21 @@ def mean_individual_error_from_estimates(p: float, q: float, pi: float) -> float
 
 
 def read_prediction_csv(source: Union[str, io.TextIOBase]) -> PredictionMatrix:
-    """Parse the ``y,f1,...,fm`` CSV schema into a PredictionMatrix."""
-    if isinstance(source, (str, bytes)):
-        with open(source, newline="") as fh:
-            return _parse_csv(fh)
-    return _parse_csv(source)
+    """Parse the ``y,f1,...,fm`` CSV schema into a PredictionMatrix.
+
+    A path is read as UTF-8. Bytes that do not decode, and rows the csv
+    module cannot split (such as a cell over its field size limit),
+    raise BadParameter.
+    """
+    try:
+        if isinstance(source, (str, bytes)):
+            with open(source, newline="", encoding="utf-8") as fh:
+                return _parse_csv(fh)
+        return _parse_csv(source)
+    except UnicodeDecodeError as exc:
+        raise BadParameter(f"CSV is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise BadParameter(f"malformed CSV: {exc}") from None
 
 
 def _parse_csv(fh) -> PredictionMatrix:

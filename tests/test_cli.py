@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votephase import analytic, montecarlo, oracle
@@ -169,6 +170,24 @@ class TestConfigMerging:
         assert err.startswith("votephase: error: ") and err.count("\n") == 1
         assert "--beta-concentration" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analytic", *BASE, "--model", "equicorrelated", "--lam", "0.3"], "--lam"),
+            (["analytic", *BASE, "--model", "geometric", "--gam", "0.3"], "--gam"),
+            (["oracle", *BASE, "--dump"], "--dump"),
+            (["simulate", *BASE, "--seed", "1", "--cond", "1"], "--cond"),
+            (["simulate", *BASE, "--seed", "1", "--threads", "2"], "--threads"),
+        ],
+        ids=["lam", "gam", "dump", "cond", "threads"],
+    )
+    def test_flag_prefix_is_one_line_usage_error(self, capsys, argv, flag):
+        # flags, like config keys, must be spelled in full
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+        assert flag in err
+
 
 class TestOracle:
     def test_exact_error_matches_library(self, capsys):
@@ -214,19 +233,14 @@ class TestSimulate:
         assert payload["estimate"]["seed"] == 42
         assert payload["estimate"]["stream"] == 0
 
-    def test_identical_across_runs_and_threads(self, capsys, tmp_path):
+    def test_identical_across_runs_and_threads(self, capsys, tmp_path, monkeypatch):
         paths = [tmp_path / f"run{i}.json" for i in range(3)]
-        for path, extra in zip(paths, ([], [], ["--threads", "8"])):
-            assert main([*self.ARGS, *extra, "--out", str(path)]) == 0
+        for path, cpus in zip(paths, (1, 1, 8)):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            assert main([*self.ARGS, "--out", str(path)]) == 0
         capsys.readouterr()
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_bad_thread_setting_is_validation_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("VOTEPHASE_THREADS", "abc")
-        code, out, err = _run(capsys, self.ARGS)
-        assert code == 1 and out == ""
-        assert err == "votephase: error: VOTEPHASE_THREADS must be an integer, got 'abc'\n"
 
     def test_conditional_csv(self, capsys):
         code, out, _ = _run(
@@ -342,6 +356,41 @@ class TestDiagnoseCommand:
         code, _, err = _run(capsys, ["diagnose", "--input", str(path)])
         assert code == 1 and "line 3" in err
 
+    def test_non_utf8_csv_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,f1\n1,1\n0,\xff\n")
+        code, out, err = _run(capsys, ["diagnose", "--input", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: CSV is not UTF-8 text")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, nulls",
+        [
+            ("y,f1\n1,1\n0,0\n", ["p_std_error", "q_std_error", "corr_class1", "corr_class0"]),
+            ("y,f1,f2\n1,1,0\n0,0,1\n0,1,0\n0,0,0\n", ["p_std_error", "corr_class1"]),
+            (
+                "y,f1,f2,f3\n1,1,1,0\n1,1,0,1\n0,0,0,0\n0,0,0,1\n",
+                ["corr_class0", ("lag_means_class0", 0), ("lag_means_class0", 1)],
+            ),
+        ],
+        ids=["one-column", "one-class-1-sample", "constant-class-0-columns"],
+    )
+    def test_json_writes_null_for_undefined_statistics(self, capsys, tmp_path, text, nulls):
+        path = tmp_path / "tiny.csv"
+        path.write_text(text)
+        code, out, _ = _run(
+            capsys, ["diagnose", "--input", str(path), "--ordered", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        for name in nulls:
+            key, index = name if isinstance(name, tuple) else (name, None)
+            value = payload[key] if index is None else payload[key][index]
+            assert value is None, (name, value)
+        code, out, _ = _run(capsys, ["diagnose", "--input", str(path), "--ordered"])
+        assert code == 0 and "nan" in out
+
 
 class TestTopLevel:
     def test_no_subcommand(self, capsys):
@@ -435,3 +484,57 @@ class TestModelSurfaceFuzz:
             and all(isinstance(v, float) and 0.0 < v < 1.0 for v in params.values())
         )
         assert (results["flag"][0] == 0) == accepted, (kind, params)
+
+
+def _reject_constant(token):
+    raise ValueError(f"not valid JSON: {token}")
+
+
+# Malformed prediction CSVs for diagnose: random bytes, or a header
+# (good, or BOM-prefixed, short, misnamed, non-UTF-8, with a NUL) over
+# rows of the header's width or ragged, whose cells are all 0/1 or
+# drawn from a mix of bad ones.
+_GOOD_HEADERS = [b"y,f1", b"y,f1,f2", b"y,f1,f2,f3", b" y , f1 "]
+_BAD_HEADERS = [
+    b"\xef\xbb\xbfy,f1,f2", b"y", b"", b"label,f1", b"f1,y", b"y,\xff", b"y,f1\x00",
+]
+_CSV_CELLS = [
+    b"0", b"1", b" 1 ", b'"0"', b"", b"2", b"-1", b"1.0", b"x", b"\x00",
+    b"\xff", b"\xc3\xa9", b'"1\n0"', b'"',
+]
+
+
+@st.composite
+def _csv_files(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=120))
+    header = draw(st.sampled_from(_GOOD_HEADERS if draw(st.booleans()) else _BAD_HEADERS))
+    width = header.count(b",") + 1
+    cell = st.sampled_from([b"0", b"1"] if draw(st.booleans()) else _CSV_CELLS)
+    size = st.just(width) if draw(st.booleans()) else st.integers(0, 5)
+    rows = draw(st.lists(size.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)), max_size=8))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return eol.join([header, *(b",".join(row) for row in rows)]) + draw(
+        st.sampled_from([b"", eol])
+    )
+
+
+class TestDiagnoseCsvFuzz:
+    @given(data=_csv_files(), ordered=st.booleans())
+    @example(data=b"y,f1\n1,1\n0,\xff\n", ordered=False)
+    @example(data=b"y,f1\n1,1\n0,0\n", ordered=False)
+    @settings(max_examples=300, deadline=None)
+    def test_typed_error_or_valid_json(self, data, ordered):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "preds.csv"
+            path.write_bytes(data)
+            argv = ["diagnose", "--input", str(path), "--format", "json"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _run_quiet(argv + ["--ordered"] * ordered)
+        if code == 0:
+            assert err == "", (data, err)
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert code == 1 and out == "", (data, code)
+            assert err.startswith("votephase: error: ") and err.count("\n") == 1, (data, err)

@@ -25,7 +25,9 @@ from votephase.model import (
     RatePair,
 )
 from votephase.oracle import exact_error
-from votephase.sampler import RngSeed, make_rng, sample_labeled_votes
+from votephase.sampler import RngSeed, make_rng
+
+from reference import sample_labeled_votes
 
 
 def _synthetic(p, q, pi=0.5, n_samples=10_000, m=25, model=None, seed=1):
@@ -214,3 +216,7 @@ class TestReadPredictionCsv:
     def test_ragged_row_rejected(self):
         with pytest.raises(BadParameter, match="line 2"):
             read_prediction_csv(io.StringIO("y,f1,f2\n0,1\n"))
+
+    def test_cell_over_csv_field_limit_rejected(self):
+        with pytest.raises(BadParameter, match="malformed CSV: field larger"):
+            read_prediction_csv(io.StringIO("y,f1\n1," + "1" * 200_000 + "\n0,0\n"))

@@ -9,7 +9,6 @@ from votephase.model import (
     Equicorrelated,
     Geometric,
     GridSpec,
-    Independent,
     Prior,
 )
 

@@ -1,8 +1,11 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from votephase import montecarlo
 from votephase.analytic import estimated_error, mean_individual_error
 from votephase.model import (
     BadParameter,
@@ -18,13 +21,13 @@ from votephase.montecarlo import (
     CHUNK_REPS,
     DegenerateVariance,
     McEstimate,
-    _chunk_sizes,
+    _per_chunk,
     mc_conditional_error,
     mc_correlation_matrix,
     mc_error,
 )
 from votephase.oracle import exact_error
-from votephase.sampler import RngSeed
+from votephase.sampler import RngSeed, make_rng
 
 
 def _cfg(n, p, q, pi=0.5, model=None):
@@ -55,10 +58,38 @@ class TestMcEstimate:
 class TestChunking:
     def test_chunk_sizes_partition_reps(self):
         for reps in (100, CHUNK_REPS, CHUNK_REPS + 1, 3 * CHUNK_REPS + 17):
-            sizes = _chunk_sizes(reps)
+            sizes = _per_chunk(reps, RngSeed(seed=1), lambda rng, m: m)
             assert sum(sizes) == reps
             assert all(0 < s <= CHUNK_REPS for s in sizes)
             assert all(s == CHUNK_REPS for s in sizes[:-1])
+
+    def test_chunk_i_draws_from_substream_i(self, monkeypatch):
+        seed = RngSeed(seed=5)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        draws = _per_chunk(3 * CHUNK_REPS, seed, lambda rng, m: rng.random())
+        assert draws == [make_rng(seed, i).random() for i in range(3)]
+
+    def test_workers_are_chunks_capped_by_cpus(self, monkeypatch):
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            _per_chunk(3 * CHUNK_REPS, RngSeed(seed=1), lambda rng, m: m)
+        _per_chunk(100, RngSeed(seed=1), lambda rng, m: m)
+        # one CPU or one chunk runs on the calling thread
+        assert pools == [2, 3]
+
+    def test_cpus_are_those_this_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert montecarlo._cpus() == (os.cpu_count() or 1)
 
 
 class TestMcError:
@@ -66,20 +97,14 @@ class TestMcError:
         with pytest.raises(BadSize):
             mc_error(_cfg(3, 0.7, 0.3), 99, RngSeed(seed=1))
 
-    def test_deterministic_across_threads_and_runs(self):
+    def test_deterministic_across_threads_and_runs(self, monkeypatch):
         cfg = _cfg(11, 0.6, 0.4, model=Geometric(gamma=0.5))
         seed = RngSeed(seed=42)
-        a = mc_error(cfg, 50_000, seed, threads=1)
-        b = mc_error(cfg, 50_000, seed, threads=8)
-        c = mc_error(cfg, 50_000, seed, threads=1)
-        assert a == b == c
-
-    def test_thread_env_var_does_not_change_result(self, monkeypatch):
-        cfg = _cfg(5, 0.7, 0.3)
-        seed = RngSeed(seed=9)
-        base = mc_error(cfg, 30_000, seed)
-        monkeypatch.setenv("VOTEPHASE_THREADS", "4")
-        assert mc_error(cfg, 30_000, seed) == base
+        results = []
+        for cpus in (1, 8, 1):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            results.append(mc_error(cfg, 50_000, seed))
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize(
         "model",
@@ -104,10 +129,6 @@ class TestMcError:
         est = mc_error(cfg, 100_000, RngSeed(seed=3))
         gap = abs(est.value - estimated_error(cfg))
         assert gap <= max(4 * est.std_error, 1e-3)
-
-    def test_threads_must_be_positive(self):
-        with pytest.raises(BadParameter):
-            mc_error(_cfg(3, 0.7, 0.3), 1000, RngSeed(seed=1), threads=0)
 
 
 class TestMcConditionalError:
@@ -165,10 +186,10 @@ class TestMcCorrelationMatrix:
         with pytest.raises(DegenerateVariance):
             mc_correlation_matrix(Independent(), 5, 1e-9, 10_000, RngSeed(seed=61))
 
-    def test_deterministic(self):
-        a = mc_correlation_matrix(Independent(), 4, 0.5, 10_000, RngSeed(seed=67))
-        b = mc_correlation_matrix(
-            Independent(), 4, 0.5, 10_000, RngSeed(seed=67), threads=8
-        )
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        a = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        b = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
         np.testing.assert_array_equal(a.correlation, b.correlation)
         assert a.off_diagonal_mean == b.off_diagonal_mean

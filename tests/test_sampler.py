@@ -14,12 +14,9 @@ from votephase.model import (
     Prior,
     RatePair,
 )
-from votephase.sampler import (
-    RngSeed,
-    make_rng,
-    sample_labeled_votes,
-    sample_matrix,
-)
+from votephase.sampler import RngSeed, make_rng, sample_matrix
+
+from reference import sample_labeled_votes
 
 rates = st.floats(min_value=0.05, max_value=0.95)
 

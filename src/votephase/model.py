@@ -259,6 +259,10 @@ class EnsembleConfig:
 
 ASYMPTOTIC = "asymptotic"
 
+# A grid row costs tens of microseconds and is held in memory, so a
+# larger grid would run for minutes and eat gigabytes; refuse instead.
+GRID_CELL_GUARD = 10**6
+
 _GridSize = Union[int, str]
 
 
@@ -272,7 +276,8 @@ class GridSpec:
 
     ``resolution`` is the number of points per axis, either one integer
     for both axes or a (p_axis, q_axis) pair. A resolution-1 axis is the
-    degenerate single-point case and requires min == max. ``n`` is a
+    degenerate single-point case and requires min == max. A grid of
+    more than ``GRID_CELL_GUARD`` points in all is refused. ``n`` is a
     positive ensemble size or the string ``"asymptotic"`` for the
     infinite-ensemble limit.
     """
@@ -302,6 +307,8 @@ class GridSpec:
             ) from None
         rp = _as_size(rp, "p-axis resolution")
         rq = _as_size(rq, "q-axis resolution")
+        if rp * rq > GRID_CELL_GUARD:
+            raise BadSize(f"grid of {rp} x {rq} points exceeds guard {GRID_CELL_GUARD}")
         object.__setattr__(self, "resolution", (rp, rq))
         self._check_axis("p", self.p_min, self.p_max, rp)
         self._check_axis("q", self.q_min, self.q_max, rq)
@@ -371,7 +378,8 @@ class GridSpec:
             raise BadParameter(f"step must be positive, got {step!r}")
         resolutions = []
         for name, lo, hi in (("p", p_min, p_max), ("q", q_min, q_max)):
-            span = Decimal(repr(float(hi))) - Decimal(repr(float(lo)))
+            lo, hi = _as_float(lo, f"{name}_min"), _as_float(hi, f"{name}_max")
+            span = Decimal(repr(hi)) - Decimal(repr(lo))
             count = span / step_d
             if count != count.to_integral_value() or count < 0:
                 raise BadParameter(

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from votephase import analytic, montecarlo, oracle
 from votephase.cli import GRID_CSV_HEADER, main
-from votephase.model import EnsembleConfig, Geometric, GridSpec, Prior, RatePair
+from votephase.model import (
+    GRID_CELL_GUARD,
+    EnsembleConfig,
+    Geometric,
+    GridSpec,
+    Prior,
+    RatePair,
+)
 from votephase.sampler import RngSeed
 
 BASE = ["--n", "15", "--p", "0.7", "--q", "0.3", "--pi", "0.5"]
@@ -188,6 +195,76 @@ class TestConfigMerging:
         assert err.startswith("votephase: error: ") and err.count("\n") == 1
         assert flag in err
 
+    @pytest.mark.parametrize("subcommand", ["analytic", "phase-grid"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"pi": 0.5, "note": "\xff"}', "config is not UTF-8 text"),
+            (b"[" * 100_000, "invalid JSON"),
+        ],
+        ids=["non-utf8", "deeply-nested"],
+    )
+    def test_unreadable_config_is_one_line_error(self, capsys, tmp_path, subcommand, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        code, out, err = _run(capsys, [subcommand, "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"votephase: error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "subcommand, extra",
+        [
+            ("simulate", {"reps": 10}),
+            ("phase-grid", {"step": 0.49}),
+            ("analytic", {"format": "csv"}),
+            ("phase-grid", {"gama": 0.5}),
+            ("oracle", {"gama": 0.5, "pmf": True}),
+        ],
+        ids=["reps", "step", "format", "typo", "two-keys"],
+    )
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, subcommand, extra):
+        if subcommand == "phase-grid":
+            config = {"pi": 0.5, "resolution": 3}
+        else:
+            config = {"n": 15, "p": 0.7, "q": 0.3, "pi": 0.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, **extra}))
+        argv = [subcommand, "--config", str(path)]
+        if subcommand == "simulate":
+            argv += ["--seed", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+        assert "unknown config keys" in err and all(repr(key) in err for key in extra)
+
+    @pytest.mark.parametrize(
+        "subcommand, spec_flags, run_flags",
+        [
+            ("analytic", [*BASE, "--model", "geometric", "--gamma", "0.6"], ["--format", "csv"]),
+            ("oracle", [*BASE, "--model", "equicorrelated", "--lambda", "0.3"], ["--pmf"]),
+            ("simulate", BASE, ["--reps", "1000", "--seed", "5", "--conditional", "1"]),
+            (
+                "phase-grid",
+                ["--pi", "0.4", "--p-min", "0.2", "--p-max", "0.8", "--q-min", "0.2",
+                 "--q-max", "0.6", "--step", "0.2"],
+                ["--format", "json"],
+            ),
+        ],
+    )
+    def test_dump_config_is_a_valid_config(
+        self, capsys, tmp_path, subcommand, spec_flags, run_flags
+    ):
+        # --dump-config ignores the run flags; simulate requires --seed
+        code, dumped, _ = _run(capsys, [subcommand, *spec_flags, *run_flags, "--dump-config"])
+        assert code == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(dumped)
+        again = _run(capsys, [subcommand, "--config", str(path), *run_flags, "--dump-config"])
+        assert again == (0, dumped, "")
+        direct = _run(capsys, [subcommand, *spec_flags, *run_flags])
+        assert direct[0] == 0
+        assert _run(capsys, [subcommand, "--config", str(path), *run_flags]) == direct
+
 
 class TestOracle:
     def test_exact_error_matches_library(self, capsys):
@@ -304,6 +381,23 @@ class TestPhaseGrid:
         assert code == 0
         spec = GridSpec.from_dict(json.loads(out))
         assert spec.resolution == (9, 9) and spec.model == Geometric(gamma=0.8)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--p-min", "0.1", "--p-max", "0.7", "--q-min", "0.1", "--q-max", "0.7",
+             "--step", "1e-320"],
+            ["--resolution", "1000000000"],
+            ["--step", "1e-4", "--dump-config"],
+            ["--resolution", "1001", "--format", "json"],
+        ],
+        ids=["step-1e-320", "resolution-1e9", "step-1e-4", "resolution-1001"],
+    )
+    def test_giant_grid_ends_at_guard(self, capsys, axes):
+        code, out, err = _run(capsys, ["phase-grid", "--pi", "0.5", *axes])
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: grid of ") and err.count("\n") == 1
+        assert f"exceeds guard {GRID_CELL_GUARD}" in err
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "grid.csv"
@@ -484,6 +578,66 @@ class TestModelSurfaceFuzz:
             and all(isinstance(v, float) and 0.0 < v < 1.0 for v in params.values())
         )
         assert (results["flag"][0] == 0) == accepted, (kind, params)
+
+
+# The phase-grid and simulate flags outside the model. Each flag is
+# absent or takes a plausible value, except up to two that take an
+# out-of-range or malformed one. A plausible grid is either small or
+# over the cell guard, and --reps is never left at its large default,
+# so every case is quick unless a guard fails.
+_GRID_AXIS = ([None, "0.1", "0.5", "0.7"], ["0", "1", "-0.5", "nan", "inf", "abc"])
+_GRID_FLAGS = {
+    "--p-min": _GRID_AXIS,
+    "--p-max": _GRID_AXIS,
+    "--q-min": _GRID_AXIS,
+    "--q-max": _GRID_AXIS,
+    "--pi": (["0.5", "0.3"], [None, "0", "1", "nan", "abc"]),
+    "--step": ([None, "0.1", "0.2", "1e-320", "1e-4"], ["0", "-0.1", "nan", "inf", "abc"]),
+    "--resolution": (
+        [None, "1", "3", "1001", "1000000", "1000000000"],
+        ["0", "-2", "1.5", "abc", "1e3"],
+    ),
+    "--n": ([None, "asymptotic", "1", "21", "1000000000"], ["0", "-3", "1.5", "abc"]),
+}
+_SIMULATE_FLAGS = {
+    "--reps": (["100", "1000"], ["99", "0", "-5", "1.5", "1e3", "abc", ""]),
+    "--seed": (["0", "7", str(2**64 - 1)], [None, str(2**64), "-1", "1.5", "abc"]),
+    "--stream": ([None, "0", "3", str(2**64 - 1)], [str(2**64), "-1", "abc"]),
+    "--conditional": ([None, "0", "1"], ["2", "-1", "abc"]),
+}
+
+
+def _draw_flags(draw, flags: dict) -> list:
+    broken = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = []
+    for flag, (plausible, bad) in flags.items():
+        value = draw(st.sampled_from(bad if flag in broken else plausible))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+def _assert_exit_contract(argv, code, out, err):
+    """Success with empty stderr, or exit 1 or 2 with one stderr line."""
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert code in (1, 2) and out == "", (argv, code)
+        assert err.startswith("votephase: ") and err.count("\n") == 1, (argv, err)
+
+
+class TestFlagSurfaceFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_phase_grid_flags(self, data):
+        argv = ["phase-grid", *_draw_flags(data.draw, _GRID_FLAGS)]
+        _assert_exit_contract(argv, *_run_quiet(argv))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simulate_flags(self, data):
+        argv = ["simulate", *BASE, *_draw_flags(data.draw, _SIMULATE_FLAGS)]
+        _assert_exit_contract(argv, *_run_quiet(argv))
 
 
 def _reject_constant(token):

@@ -11,6 +11,7 @@ from votephase.model import (
     BadSize,
     EnsembleConfig,
     Equicorrelated,
+    GRID_CELL_GUARD,
     Geometric,
     GridSpec,
     Independent,
@@ -198,6 +199,24 @@ class TestGridSpec:
     def test_from_step_allows_asymmetric_axes(self):
         spec = GridSpec.from_step(0.2, 0.4, 0.1, 0.9, step=0.1, n=10, prior=Prior(pi=0.5))
         assert spec.resolution == (3, 9)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.1, float("inf")), (0.1, float("nan")), ("abc", 0.9), (0.1, [0.9]), (0.1, None)],
+    )
+    def test_from_step_rejects_non_finite_or_non_numeric_bounds(self, lo, hi):
+        with pytest.raises(BadParameter):
+            GridSpec.from_step(lo, hi, 0.1, 0.9, step=0.1, n=10, prior=Prior(pi=0.5))
+
+    def test_cell_guard(self):
+        side = int(GRID_CELL_GUARD**0.5)
+        assert self._spec(resolution=(side, side)).resolution == (side, side)
+        assert self._spec(resolution=(1, GRID_CELL_GUARD), p_max=0.1).resolution[0] == 1
+        for resolution in [(side, side + 1), 10**9, (2, GRID_CELL_GUARD)]:
+            with pytest.raises(BadSize, match="exceeds guard"):
+                self._spec(resolution=resolution)
+        with pytest.raises(BadSize, match="exceeds guard"):
+            GridSpec.from_step(0.1, 0.7, 0.1, 0.7, step=1e-320, n=10, prior=Prior(pi=0.5))
 
     def test_resolution_one_requires_degenerate_axis(self):
         spec = self._spec(p_min=0.5, p_max=0.5, q_min=0.5, q_max=0.5, resolution=1)

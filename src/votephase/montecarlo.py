@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import (
     BadParameter,
+    BadSize,
     CorrelationModel,
     EnsembleConfig,
     VotePhaseError,
@@ -35,6 +36,10 @@ from .sampler import RngSeed, make_rng, sample_matrix
 # One substream per chunk of this many replications; fixed so that the
 # chunk layout (and therefore the result) never depends on thread count.
 CHUNK_REPS = 16384
+
+# A geometric chunk holds two (n, CHUNK_REPS) bool matrices, about
+# 330 MB at this n; refuse larger ensembles before any draw.
+MC_SIZE_GUARD = 10_000
 
 
 class DegenerateVariance(VotePhaseError, ValueError):
@@ -77,6 +82,13 @@ class McEstimate:
         }
 
 
+def _ensemble_size(n: int, minimum: int = 1) -> int:
+    n = _as_size(n, "n", minimum)
+    if n > MC_SIZE_GUARD:
+        raise BadSize(f"Monte Carlo n={n} exceeds guard {MC_SIZE_GUARD}")
+    return n
+
+
 def _cpus() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -112,7 +124,7 @@ def mc_error(cfg: EnsembleConfig, reps: int, seed: RngSeed) -> McEstimate:
     prediction against the class.
     """
     reps = _as_size(reps, "reps", minimum=100)
-    n, pi = cfg.n, cfg.prior.pi
+    n, pi = _ensemble_size(cfg.n), cfg.prior.pi
     p, q = cfg.rates.p, cfg.rates.q
 
     def count(rng: np.random.Generator, m: int) -> int:
@@ -137,7 +149,7 @@ def mc_conditional_error(
     if label not in (0, 1):
         raise BadParameter(f"label must be 0 or 1, got {label!r}")
     reps = _as_size(reps, "reps", minimum=100)
-    n = cfg.n
+    n = _ensemble_size(cfg.n)
     rate = cfg.rates.rate_for_class(label)
 
     def count(rng: np.random.Generator, m: int) -> int:
@@ -185,7 +197,7 @@ def mc_correlation_matrix(
     diagnostic); ``off_diagonal_mean`` averages all distinct pairs (the
     lambda diagnostic).
     """
-    n = _as_size(n, "n", minimum=2)
+    n = _ensemble_size(n, minimum=2)
     reps = _as_size(reps, "reps", minimum=10_000)
     r = _as_probability(rate, "rate")
 

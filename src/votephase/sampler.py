@@ -6,6 +6,13 @@ substreams are reproducible and statistically independent regardless of
 evaluation order. A fixed number of uniforms is consumed per vector
 independent of outcomes, which keeps mixed-class batches deterministic.
 
+Votes are built column-major: the uniforms of a (count, n) matrix are
+drawn ``_BLOCK_ROWS`` rows at a time, in stream order, and compared into
+C-contiguous (n, count) bool matrices, one row per vote position. Block
+after block consumes a Philox stream exactly as one (count, n) draw
+does, so the votes and the generator state afterwards are the same as a
+row-major draw's, while only one small block of floats is alive.
+
 Generative constructions, conditioned on one class at marginal rate r:
 
 * Independent: n i.i.d. Bernoulli(r) votes.
@@ -35,6 +42,9 @@ from .model import (
 )
 
 _U64_MAX = 2**64 - 1
+
+# Rows of uniforms drawn at a time: a 256 x 101 float block stays in cache.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,28 @@ def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
         rates = np.full(count, float(rates))
     if rates.shape != (count,):
         raise BadParameter(f"rate must be scalar or shape ({count},)")
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        raise BadParameter("every rate must be a probability in [0, 1]")
     return rates
+
+
+def _below(rng: np.random.Generator, rates: np.ndarray, n: int, *thresholds) -> list:
+    """One (n, count) bool matrix per per-row threshold t: u.T < t.
+
+    u is the (count, n) uniform matrix, drawn ``_BLOCK_ROWS`` rows at a
+    time. Position 0 of the first matrix is compared against ``rates``
+    instead, which starts a geometric chain at its marginal.
+    """
+    count = rates.shape[0]
+    outs = [np.empty((n, count), dtype=bool) for _ in thresholds]
+    block = np.empty((min(_BLOCK_ROWS, count), n))
+    for lo in range(0, count, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, count)
+        u = rng.random(out=block[: hi - lo]).T
+        for out, t in zip(outs, thresholds):
+            np.less(u, t[lo:hi], out=out[:, lo:hi])
+        np.less(u[0], rates[lo:hi], out=outs[0][0, lo:hi])
+    return outs
 
 
 def sample_matrix(
@@ -83,26 +114,32 @@ def sample_matrix(
     """(count, n) uint8 matrix of vote vectors; one rate per row.
 
     Per-row rates let mixed-class batches sample both classes in one
-    pass with a draw order independent of the label pattern.
+    pass with a draw order independent of the label pattern. Every rate
+    must be a probability in [0, 1]. The result is the transposed view
+    of a C-contiguous (n, count) matrix, so it is not C-contiguous
+    itself.
+
+    The geometric chain runs down the positions with two bool ufuncs
+    each. Rounding keeps t01 <= r <= t11 for r in [0, 1], so u < t01
+    implies u < t11 and (u < t01) | (prev & (u < t11)) is exactly
+    u < (t11 if prev else t01).
     """
     n = _as_size(n, "n")
     count = _as_size(count, "count")
     rates = _per_row_rates(rate, count)
     if isinstance(model, Independent):
-        return (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
-    if isinstance(model, Geometric):
+        (votes,) = _below(rng, rates, n, rates)
+    elif isinstance(model, Geometric):
         t11, t01 = model.transitions(rates)
-        u = rng.random((count, n))
-        votes = np.empty((count, n), dtype=np.uint8)
-        votes[:, 0] = u[:, 0] < rates
+        votes, stay = _below(rng, rates, n, t01, t11)
         for i in range(1, n):
-            threshold = np.where(votes[:, i - 1] == 1, t11, t01)
-            votes[:, i] = u[:, i] < threshold
-        return votes
-    if isinstance(model, Equicorrelated):
+            np.logical_and(stay[i], votes[i - 1], out=stay[i])
+            np.logical_or(votes[i], stay[i], out=votes[i])
+    elif isinstance(model, Equicorrelated):
         shared_branch = rng.random(count) < model.lam
-        shared_vote = (rng.random(count) < rates).astype(np.uint8)
-        independent = (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
-        return np.where(shared_branch[:, None], shared_vote[:, None], independent)
-    raise BadParameter(f"unknown correlation model {model!r}")
-
+        shared_vote = rng.random(count) < rates
+        (votes,) = _below(rng, rates, n, rates)
+        votes[:, shared_branch] = shared_vote[shared_branch]
+    else:
+        raise BadParameter(f"unknown correlation model {model!r}")
+    return votes.view(np.uint8).T

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from votephase.model import BadParameter, EnsembleConfig, _as_probability, _as_size
+from votephase.model import (
+    BadParameter,
+    EnsembleConfig,
+    Equicorrelated,
+    Geometric,
+    Independent,
+    _as_probability,
+    _as_size,
+)
 from votephase.sampler import sample_matrix
 
 
@@ -31,3 +39,31 @@ def sample_labeled_votes(
     rates = np.where(labels == 1, cfg.rates.p, cfg.rates.q)
     votes = sample_matrix(cfg.model, cfg.n, rates, count, rng)
     return labels, votes
+
+
+def sample_matrix_reference(model, n: int, rate, count: int, rng: np.random.Generator):
+    """Row-major sampler: one (count, n) draw, then a per-column loop.
+
+    The straightforward construction that ``sample_matrix`` must
+    reproduce bit for bit, generator state included.
+    """
+    rates = np.asarray(rate, dtype=float)
+    if rates.ndim == 0:
+        rates = np.full(count, float(rates))
+    if isinstance(model, Independent):
+        return (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
+    if isinstance(model, Geometric):
+        t11, t01 = model.transitions(rates)
+        u = rng.random((count, n))
+        votes = np.empty((count, n), dtype=np.uint8)
+        votes[:, 0] = u[:, 0] < rates
+        for i in range(1, n):
+            threshold = np.where(votes[:, i - 1] == 1, t11, t01)
+            votes[:, i] = u[:, i] < threshold
+        return votes
+    if isinstance(model, Equicorrelated):
+        shared_branch = rng.random(count) < model.lam
+        shared_vote = (rng.random(count) < rates).astype(np.uint8)
+        independent = (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
+        return np.where(shared_branch[:, None], shared_vote[:, None], independent)
+    raise BadParameter(f"unknown correlation model {model!r}")

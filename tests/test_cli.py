@@ -330,6 +330,20 @@ class TestSimulate:
         assert header == "value,std_error,reps,seed,stream"
         assert row.endswith(",10000,7,3")
 
+    def test_giant_n_refused_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled past the size guard")
+
+        monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--n", "1000000000", "--p", "0.6", "--q", "0.4",
+             "--pi", "0.5", "--reps", "100", "--seed", "1"],
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("votephase: error:")
+        assert str(montecarlo.MC_SIZE_GUARD) in err
+
 
 class TestPhaseGrid:
     def test_step_grid_csv(self, capsys):

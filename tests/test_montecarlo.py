@@ -19,6 +19,7 @@ from votephase.model import (
 )
 from votephase.montecarlo import (
     CHUNK_REPS,
+    MC_SIZE_GUARD,
     DegenerateVariance,
     McEstimate,
     _per_chunk,
@@ -193,3 +194,30 @@ class TestMcCorrelationMatrix:
         b = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
         np.testing.assert_array_equal(a.correlation, b.correlation)
         assert a.off_diagonal_mean == b.off_diagonal_mean
+
+
+class TestSizeGuard:
+    GUARD_ESTIMATORS = [
+        lambda n: mc_error(_cfg(n, 0.6, 0.4, model=Geometric(gamma=0.5)), 100, RngSeed(seed=1)),
+        lambda n: mc_conditional_error(
+            _cfg(n, 0.6, 0.4, model=Geometric(gamma=0.5)), 1, 100, RngSeed(seed=1)
+        ),
+        lambda n: mc_correlation_matrix(Independent(), n, 0.5, 10_000, RngSeed(seed=1)),
+    ]
+
+    @pytest.mark.parametrize(
+        "estimate", GUARD_ESTIMATORS, ids=["mc_error", "conditional", "correlation"]
+    )
+    def test_above_guard_refused_before_any_draw(self, estimate, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled past the size guard")
+
+        monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
+        with pytest.raises(BadSize, match="guard"):
+            estimate(MC_SIZE_GUARD + 1)
+
+    @pytest.mark.parametrize("estimate", GUARD_ESTIMATORS[:2], ids=["mc_error", "conditional"])
+    def test_at_guard_runs(self, estimate):
+        # the correlation matrix is n x n, so it is not run at the guard
+        est = estimate(MC_SIZE_GUARD)
+        assert est.reps == 100 and 0.0 <= est.value <= 1.0

@@ -1,8 +1,10 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votephase.model import (
@@ -16,9 +18,12 @@ from votephase.model import (
 )
 from votephase.sampler import RngSeed, make_rng, sample_matrix
 
-from reference import sample_labeled_votes
+from reference import sample_labeled_votes, sample_matrix_reference
 
 rates = st.floats(min_value=0.05, max_value=0.95)
+
+MODELS = [Independent(), Geometric(gamma=0.8), Equicorrelated(lam=0.3)]
+MODEL_IDS = ["independent", "geometric", "equicorrelated"]
 
 
 class TestRngSeed:
@@ -138,3 +143,93 @@ class TestSampleMatrixValidation:
         rng = make_rng(RngSeed(seed=1))
         with pytest.raises(BadParameter):
             sample_matrix(object(), 5, 0.5, 3, rng)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+    def test_rate_must_be_a_probability(self, model, bad, per_row):
+        rate = np.array([0.5, bad, 0.5]) if per_row else bad
+        with pytest.raises(BadParameter, match="probability"):
+            sample_matrix(model, 5, rate, 3, make_rng(RngSeed(seed=1)))
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_closed_unit_interval_accepted(self, model):
+        votes = sample_matrix(model, 4, np.array([0.0, 1.0]), 2, make_rng(RngSeed(seed=1)))
+        np.testing.assert_array_equal(votes, [[0, 0, 0, 0], [1, 1, 1, 1]])
+
+
+_unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_models = st.one_of(
+    st.just(Independent()),
+    st.one_of(st.sampled_from([1e-12, 1 - 1e-12]), _unit_open).map(
+        lambda g: Geometric(gamma=g)
+    ),
+    _unit_open.map(lambda lam: Equicorrelated(lam=lam)),
+)
+
+
+class TestStreamPreservation:
+    """Row-blocked, column-major sampling reproduces the row-major draw."""
+
+    @given(
+        model=_models,
+        n=st.integers(1, 300),
+        count=st.integers(1, 1100),
+        rate=st.one_of(st.floats(0.0, 1.0), st.none()),
+        seed=st.integers(0, 2**32),
+    )
+    @example(model=Geometric(gamma=0.8), n=101, count=255, rate=None, seed=1)
+    @example(model=Geometric(gamma=1e-12), n=3, count=256, rate=0.6, seed=2)
+    @example(model=Geometric(gamma=1 - 1e-12), n=50, count=257, rate=None, seed=3)
+    @example(model=Equicorrelated(lam=0.3), n=20, count=512, rate=None, seed=4)
+    @example(model=Independent(), n=1, count=257, rate=0.5, seed=5)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_major_reference(self, model, n, count, rate, seed):
+        if rate is None:
+            # per-row rates, the exact endpoints included
+            pool = np.array([0.0, 1.0, 0.2, 0.5, 0.9, 1e-12, 1 - 1e-12])
+            rate = pool[make_rng(RngSeed(seed=seed), 1).integers(0, pool.size, count)]
+        new_rng = make_rng(RngSeed(seed=seed))
+        ref_rng = make_rng(RngSeed(seed=seed))
+        votes = sample_matrix(model, n, rate, count, new_rng)
+        expected = sample_matrix_reference(model, n, rate, count, ref_rng)
+        assert votes.shape == (count, n) and votes.dtype == np.uint8
+        assert np.array_equal(votes, expected)
+        assert np.array_equal(new_rng.random(3), ref_rng.random(3))
+
+    # sha256 of the votes and the next three uniforms, generated from
+    # the row-major sampler this one replaced
+    DIGESTS = {
+        ("independent", 16384): "4c85373b810f045ac5dce5cc948153fb3d1bbd13ef1c103374f86294ad4c56c5",
+        ("independent", 3392): "14aaf801b0ee9f47b7083f880b1066c773b048b6ef3663bd88aace2b672d4a8e",
+        ("geometric", 16384): "9e4e1cbd0852ef9b1e21a63e9e09a01ab680b7fbd0cb56739a2b341732662705",
+        ("geometric", 3392): "6805c45a2dd3b7aa1eaa2e761b51b7816976804cde8c512daef91c852cd8214c",
+        ("equicorrelated", 16384): "1e6890602aa719cd3efe8c9e52644e3404431b0e2e4ecf27c40c34115c6cba9e",
+        ("equicorrelated", 3392): "1e297d8f4ed2e67468023a6962a0510f728e20b4b26c05e98666ec093b143413",
+    }
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("count", [16384, 3392])
+    def test_frozen_chunk_digest(self, model, count):
+        rng = make_rng(RngSeed(seed=2026), count)
+        rates = np.where(rng.random(count) < 0.5, 0.6, 0.4)
+        votes = sample_matrix(model, 101, rates, count, rng)
+        digest = hashlib.sha256(np.ascontiguousarray(votes).tobytes())
+        digest.update(rng.random(3).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[model.kind, count]
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_chunk_peak_at_most_6_mib(self, model):
+        # the row-major sampler held the whole 16384 x 101 float block
+        # (14.7 MiB); row blocks keep only the bool matrices alive
+        rng = make_rng(RngSeed(seed=1))
+        rates = np.full(16384, 0.6)
+        tracemalloc.start()
+        try:
+            sample_matrix(model, 101, rates, 16384, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20

@@ -34,6 +34,12 @@ identical to the independent-model estimate at effective size 1/lam.
 This abuse of the normal limit is still exposed because it is the
 number the plug-in formula actually produces; callers can detect it
 via ``uses_abusive_variance``.
+
+The nine limiting values form one table, built once at import;
+``limiting_error`` evaluates the one cell a (p, q) point falls in.
+``grid.point`` combines the functions here into the closed-form row
+(err, err_hat, delta_n, delta_inf, phase, abusive) that both the
+``analytic`` subcommand and every phase-grid row print.
 """
 
 from __future__ import annotations
@@ -73,10 +79,14 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _individual_error(p: float, q: float, pi: float) -> float:
+    """(1 - p) pi + q (1 - pi) on raw floats, boundary rates included."""
+    return (1.0 - p) * pi + q * (1.0 - pi)
+
+
 def mean_individual_error(rates: RatePair, prior: Prior) -> float:
     """err = (1 - p) pi + q (1 - pi), one member's average error."""
-    pi = prior.pi
-    return (1.0 - rates.p) * pi + rates.q * (1.0 - pi)
+    return _individual_error(rates.p, rates.q, prior.pi)
 
 
 def geometric_variance_factor(gamma: float, n: int) -> float:
@@ -117,25 +127,8 @@ def sum_variance(model: CorrelationModel, n: int, rate: float) -> float:
     raise BadParameter(f"unknown correlation model {model!r}")
 
 
-@dataclass(frozen=True)
-class SigmaSq:
-    """Per-vote asymptotic variance lim Var(g)/n, possibly infinite."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if v != v or v <= 0.0:
-            raise BadParameter(f"sigma^2 must be positive, got {v!r}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> SigmaSq:
-    """lim_n Var(g)/n per model; infinite under equicorrelation.
+def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> float:
+    """lim_n Var(g)/n per model; ``math.inf`` under equicorrelation.
 
     Independent: r (1 - r). Geometric: r (1 - r) (1 + gamma)/(1 - gamma),
     the n -> inf limit of the variance factor. Equicorrelated: the n**2
@@ -144,12 +137,12 @@ def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> SigmaSq:
     r = _as_probability(rate, "rate")
     base = r * (1.0 - r)
     if isinstance(model, Independent):
-        return SigmaSq(base)
+        return base
     if isinstance(model, Geometric):
         g = model.gamma
-        return SigmaSq(base * (1.0 + g) / (1.0 - g))
+        return base * (1.0 + g) / (1.0 - g)
     if isinstance(model, Equicorrelated):
-        return SigmaSq(math.inf)
+        return math.inf
     raise BadParameter(f"unknown correlation model {model!r}")
 
 
@@ -209,13 +202,16 @@ class Side(enum.Enum):
     ABOVE = ">1/2"
 
 
+def _side_index(r: float) -> int:
+    """0, 1 or 2 as r sits below, on or above 1/2."""
+    return (r >= 0.5) + (r > 0.5)
+
+
+_SIDES = tuple(Side)
+
+
 def side_of(rate: float) -> Side:
-    r = _as_probability(rate, "rate")
-    if r < 0.5:
-        return Side.BELOW
-    if r > 0.5:
-        return Side.ABOVE
-    return Side.ON
+    return _SIDES[_side_index(_as_probability(rate, "rate"))]
 
 
 class Phase(enum.Enum):
@@ -236,6 +232,15 @@ def phase_of(delta_value: float) -> Phase:
     return Phase.NEUTRAL
 
 
+# The nine cells of the n -> inf limit, each a function of pi, indexed
+# [q side][p side] with sides 0, 1, 2 for below, on, above 1/2.
+_LIMIT_TABLE = (
+    (lambda pi: pi, lambda pi: pi / 2.0, lambda pi: 0.0),
+    (lambda pi: (1.0 + pi) / 2.0, lambda pi: 0.5, lambda pi: (1.0 - pi) / 2.0),
+    (lambda pi: 1.0, lambda pi: 1.0 - pi / 2.0, lambda pi: 1.0 - pi),
+)
+
+
 def limiting_error(rates: RatePair, prior: Prior) -> float:
     """n -> inf limit of the estimated majority error.
 
@@ -247,23 +252,13 @@ def limiting_error(rates: RatePair, prior: Prior) -> float:
         q = 1/2:   (1+pi)/2     1/2           (1-pi)/2
         q < 1/2:   pi           pi/2          0
 
-    (rows: q side, columns: p < 1/2, p = 1/2, p > 1/2). The cell
-    expressions are evaluated literally so each value is the correctly
-    rounded double of its closed form, not a re-rounded tail sum.
+    (rows: q side, columns: p < 1/2, p = 1/2, p > 1/2). The call looks
+    up one cell of ``_LIMIT_TABLE``, built once at import, and
+    evaluates only that cell's expression. The expressions are written
+    literally so each value is the correctly rounded double of its
+    closed form, not a re-rounded tail sum.
     """
-    pi = prior.pi
-    table = {
-        (Side.BELOW, Side.ABOVE): 1.0,
-        (Side.ON, Side.ABOVE): 1.0 - pi / 2.0,
-        (Side.ABOVE, Side.ABOVE): 1.0 - pi,
-        (Side.BELOW, Side.ON): (1.0 + pi) / 2.0,
-        (Side.ON, Side.ON): 0.5,
-        (Side.ABOVE, Side.ON): (1.0 - pi) / 2.0,
-        (Side.BELOW, Side.BELOW): pi,
-        (Side.ON, Side.BELOW): pi / 2.0,
-        (Side.ABOVE, Side.BELOW): 0.0,
-    }
-    return table[(side_of(rates.p), side_of(rates.q))]
+    return _LIMIT_TABLE[_side_index(rates.q)][_side_index(rates.p)](prior.pi)
 
 
 @dataclass(frozen=True)

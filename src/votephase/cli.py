@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from operator import itemgetter
 from typing import Union
@@ -170,27 +171,23 @@ def _grid(args: argparse.Namespace) -> GridSpec:
     )
 
 
+def _row_fields(row: grid.GridRow) -> dict:
+    """A closed-form row as JSON fields, the phase as its sign."""
+    return {**vars(row), "phase": row.phase.value}
+
+
 def _analytic(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
-    err = analytic.mean_individual_error(cfg.rates, cfg.prior)
-    err_hat = analytic.estimated_error(cfg)
-    delta_inf = analytic.delta_asymptotic(cfg.rates, cfg.prior, cfg.model)
+    row = _row_fields(grid.point(cfg.rates, cfg.prior, cfg.model, cfg.n))
+    del row["p"], row["q"]
     verdict = analytic.limiting_delta(cfg.rates, cfg.prior)
     sigma = {
         name: analytic.asymptotic_sigma_sq(cfg.model, rate)
         for name, rate in (("p", cfg.rates.p), ("q", cfg.rates.q))
     }
-    row = {
-        "err": err,
-        "err_hat": err_hat,
-        "delta_n": err_hat - err,
-        "delta_inf": delta_inf,
-        "phase": analytic.phase_of(delta_inf).value,
-        "abusive": analytic.uses_abusive_variance(cfg.model),
-    }
     payload = {
         "config": cfg.to_dict(),
         **row,
-        "sigma_sq": {k: s.value if s.is_finite else "infinite" for k, s in sigma.items()},
+        "sigma_sq": {k: s if math.isfinite(s) else "infinite" for k, s in sigma.items()},
         "region": {
             "p_side": verdict.p_side.value,
             "q_side": verdict.q_side.value,
@@ -226,7 +223,7 @@ def _simulate(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
 
 
 def _phase_grid(args: argparse.Namespace, spec: GridSpec) -> tuple:
-    rows = [{**vars(r), "phase": r.phase.value} for r in grid.sweep(spec)]
+    rows = [_row_fields(r) for r in grid.sweep(spec)]
     header = GRID_CSV_HEADER.split(",")
     return {"spec": spec.to_dict(), "rows": rows}, [header, *map(itemgetter(*header), rows)]
 

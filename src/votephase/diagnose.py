@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .analytic import PhaseVerdict, limiting_delta
+from .analytic import PhaseVerdict, _individual_error, limiting_delta
 from .model import (
     BadParameter,
     BadSize,
@@ -272,7 +272,7 @@ def diagnose(
                 "dependence and is unreliable here"
             )
 
-    err_hat_individual = mean_individual_error_from_estimates(p_hat, q_hat, pi_used)
+    err_hat_individual = _individual_error(p_hat, q_hat, pi_used)
     majority_one = 2 * votes.sum(axis=1, dtype=np.int64) > matrix.n_classifiers
     err_majority = float((majority_one != (labels == 1)).mean())
 
@@ -296,11 +296,6 @@ def diagnose(
         lag_means_class1=_lag_means(corr1_matrix) if assume_ordered else None,
         lag_means_class0=_lag_means(corr0_matrix) if assume_ordered else None,
     )
-
-
-def mean_individual_error_from_estimates(p: float, q: float, pi: float) -> float:
-    """(1 - p) pi + q (1 - pi) on raw estimates, boundaries included."""
-    return (1.0 - p) * pi + q * (1.0 - pi)
 
 
 def read_prediction_csv(source: Union[str, io.TextIOBase]) -> PredictionMatrix:
@@ -360,7 +355,6 @@ def _parse_csv(fh) -> PredictionMatrix:
 def format_report(report: DiagnosisReport) -> str:
     """Human-readable rendering of a DiagnosisReport."""
     v = report.verdict
-    phase_word = {"-": "beneficial", "+": "harmful", "0": "neutral"}[v.phase.value]
     lines = [
         f"samples: {report.n_samples}   classifiers: {report.n_classifiers}",
         f"p_hat = {report.p_hat:.6f} (se {report.p_std_error:.6f})   "
@@ -370,7 +364,7 @@ def format_report(report: DiagnosisReport) -> str:
         f"class0 {report.corr_class0:.4f}",
         f"individual error (estimate): {report.err_hat_individual:.6f}",
         f"observed majority-vote error: {report.err_majority:.6f}",
-        f"asymptotic verdict: {phase_word} (delta_inf = {v.delta_inf:.6f}, "
+        f"asymptotic verdict: {v.phase.name.lower()} (delta_inf = {v.delta_inf:.6f}, "
         f"region {v.region})",
     ]
     if report.lag_means_class1 is not None:

@@ -1,6 +1,11 @@
-"""Sweeps of the (p, q) unit square for phase-diagram data.
+"""The closed-form row at one (p, q) point, and sweeps of the unit square.
 
-Every row is computed with closed-form operations only, no sampling.
+``point`` is the single evaluator of the row (err, err_hat, delta_n,
+delta_inf, phase, abusive): the ``analytic`` subcommand prints it at
+one point and ``sweep`` at every point of a grid. It computes err and
+the model's asymptotic estimate once each, and at n = ``ASYMPTOTIC``
+that estimate is err_hat too. No row involves sampling.
+
 Axis values come from decimal-exact index arithmetic (see GridSpec), so
 fine grids hit landmarks like 0.5 exactly instead of drifting past
 them; boundary values appear only when the spec's endpoints and step
@@ -18,14 +23,13 @@ from dataclasses import dataclass
 
 from .analytic import (
     Phase,
-    delta_asymptotic,
     estimated_error,
     estimated_error_asymptotic,
     mean_individual_error,
     phase_of,
     uses_abusive_variance,
 )
-from .model import EnsembleConfig, GridSpec, RatePair
+from .model import ASYMPTOTIC, CorrelationModel, EnsembleConfig, GridSpec, Prior, RatePair
 
 
 @dataclass(frozen=True)
@@ -50,30 +54,34 @@ class Improvement:
     at: tuple
 
 
-def _row(spec: GridSpec, p: float, q: float) -> GridRow:
-    rates = RatePair(p=p, q=q)
-    err = mean_individual_error(rates, spec.prior)
-    if spec.is_asymptotic:
-        err_hat = estimated_error_asymptotic(rates, spec.prior, spec.model)
+def point(rates: RatePair, prior: Prior, model: CorrelationModel, n: int | str) -> GridRow:
+    """The closed-form row at (p, q) for ensemble size n or ``ASYMPTOTIC``.
+
+    delta_inf = err_inf - err is the subtraction ``delta_asymptotic``
+    makes, so it is bit-equal to it.
+    """
+    err = mean_individual_error(rates, prior)
+    err_inf = estimated_error_asymptotic(rates, prior, model)
+    if n == ASYMPTOTIC:
+        err_hat = err_inf
     else:
-        cfg = EnsembleConfig(n=spec.n, rates=rates, prior=spec.prior, model=spec.model)
-        err_hat = estimated_error(cfg)
-    delta_inf = delta_asymptotic(rates, spec.prior, spec.model)
+        err_hat = estimated_error(EnsembleConfig(n=n, rates=rates, prior=prior, model=model))
+    delta_inf = err_inf - err
     return GridRow(
-        p=p,
-        q=q,
+        p=rates.p,
+        q=rates.q,
         err=err,
         err_hat=err_hat,
         delta_n=err_hat - err,
         delta_inf=delta_inf,
         phase=phase_of(delta_inf),
-        abusive=uses_abusive_variance(spec.model),
+        abusive=uses_abusive_variance(model),
     )
 
 
 def sweep(spec: GridSpec) -> list:
     """All grid rows in row-major order: p outer, q inner."""
-    return [_row(spec, p, q) for p, q in spec.points()]
+    return [point(RatePair(p=p, q=q), spec.prior, spec.model, spec.n) for p, q in spec.points()]
 
 
 def max_improvement(spec: GridSpec) -> Improvement:

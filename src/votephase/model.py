@@ -71,6 +71,15 @@ def _as_size(value: Any, name: str, minimum: int = 1) -> int:
     return value
 
 
+def _as_ensemble_size(value: Any) -> int:
+    """A positive n the tie rule can use: above 2**53 a double no longer
+    holds n / 2 exactly, so g > n / 2 could round the wrong way."""
+    n = _as_size(value, "n")
+    if n > 2**53:
+        raise BadSize(f"n must be <= 2**53, got a {n.bit_length()}-bit integer")
+    return n
+
+
 @dataclass(frozen=True)
 class RatePair:
     """Per-class vote rates of an ensemble member.
@@ -224,7 +233,7 @@ class EnsembleConfig:
     model: CorrelationModel = field(default_factory=Independent)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_size(self.n, "n"))
+        object.__setattr__(self, "n", _as_ensemble_size(self.n))
         if not isinstance(self.rates, RatePair):
             raise BadParameter(f"rates must be a RatePair, got {self.rates!r}")
         if not isinstance(self.prior, Prior):
@@ -313,7 +322,7 @@ class GridSpec:
         self._check_axis("p", self.p_min, self.p_max, rp)
         self._check_axis("q", self.q_min, self.q_max, rq)
         if self.n != ASYMPTOTIC:
-            object.__setattr__(self, "n", _as_size(self.n, "n"))
+            object.__setattr__(self, "n", _as_ensemble_size(self.n))
         if not isinstance(self.prior, Prior):
             raise BadParameter(f"prior must be a Prior, got {self.prior!r}")
         if not isinstance(self.model, CorrelationModel):
@@ -329,10 +338,6 @@ class GridSpec:
                 )
         elif not lo < hi:
             raise BadParameter(f"{name}-axis requires min < max, got [{lo}, {hi}]")
-
-    @property
-    def is_asymptotic(self) -> bool:
-        return self.n == ASYMPTOTIC
 
     @staticmethod
     def _axis(lo: float, hi: float, res: int) -> list:

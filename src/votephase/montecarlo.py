@@ -41,6 +41,11 @@ CHUNK_REPS = 16384
 # 330 MB at this n; refuse larger ensembles before any draw.
 MC_SIZE_GUARD = 10_000
 
+# mc_correlation_matrix holds several n x n arrays (the chunk Gram
+# matrices, their sum, the covariance and the correlation); at
+# MC_SIZE_GUARD they would take gigabytes.
+CORR_SIZE_GUARD = 1000
+
 
 class DegenerateVariance(VotePhaseError, ValueError):
     """A vote position showed zero empirical variance; correlations undefined."""
@@ -82,10 +87,10 @@ class McEstimate:
         }
 
 
-def _ensemble_size(n: int, minimum: int = 1) -> int:
+def _ensemble_size(n: int, minimum: int = 1, guard: int = MC_SIZE_GUARD) -> int:
     n = _as_size(n, "n", minimum)
-    if n > MC_SIZE_GUARD:
-        raise BadSize(f"Monte Carlo n={n} exceeds guard {MC_SIZE_GUARD}")
+    if n > guard:
+        raise BadSize(f"Monte Carlo n={n} exceeds guard {guard}")
     return n
 
 
@@ -192,17 +197,19 @@ def mc_correlation_matrix(
     """Unbiased sample correlations between vote positions.
 
     Accumulates per-chunk first and second moments, reduced in chunk
-    order, then forms the sample covariance with ddof=1. ``lag_means``
-    holds the mean correlation at each positive lag (the gamma**k
-    diagnostic); ``off_diagonal_mean`` averages all distinct pairs (the
-    lambda diagnostic).
+    order, then forms the sample covariance with ddof=1. A chunk's
+    moments are computed in float32, which holds them exactly: each is
+    a count of at most CHUNK_REPS < 2**24 ones. They are summed over
+    chunks in float64. ``lag_means`` holds the mean correlation at each
+    positive lag (the gamma**k diagnostic); ``off_diagonal_mean``
+    averages all distinct pairs (the lambda diagnostic).
     """
-    n = _ensemble_size(n, minimum=2)
+    n = _ensemble_size(n, minimum=2, guard=CORR_SIZE_GUARD)
     reps = _as_size(reps, "reps", minimum=10_000)
     r = _as_probability(rate, "rate")
 
     def moments(rng: np.random.Generator, m: int) -> tuple:
-        votes = sample_matrix(model, n, r, m, rng).astype(np.float64)
+        votes = sample_matrix(model, n, r, m, rng).astype(np.float32)
         return votes.sum(axis=0), votes.T @ votes
 
     s1 = np.zeros(n)

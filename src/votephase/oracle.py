@@ -48,6 +48,10 @@ from .model import (
 # minutes of CPU, so refuse instead.
 GEOMETRIC_SIZE_GUARD = 100_000
 
+# The binomial pmf holds several float64 arrays of n + 1 entries and
+# peaks near 300 MiB at this n; refuse larger n before allocating any.
+BINOMIAL_SIZE_GUARD = 10**7
+
 # 2**n vectors; 20 keeps the brute force under a second.
 BRUTE_FORCE_SIZE_GUARD = 20
 
@@ -116,9 +120,11 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     running maximum, then normalized. Stable for n up to at least 1e6
     where direct factorials or products would over/underflow. Masses
     below the smallest normal double are returned as 0, as in
-    ``VotePmf``.
+    ``VotePmf``. n above ``BINOMIAL_SIZE_GUARD`` is refused.
     """
     n = _as_size(n, "n")
+    if n > BINOMIAL_SIZE_GUARD:
+        raise SizeGuardExceeded(f"binomial pmf n={n} exceeds guard {BINOMIAL_SIZE_GUARD}")
     r = _as_probability(rate, "rate")
     log_odds = math.log(r) - math.log1p(-r)
     logs = np.empty(n + 1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from votephase.analytic import (
     Phase,
     Side,
-    SigmaSq,
     asymptotic_sigma_sq,
     delta,
     delta_asymptotic,
@@ -151,17 +150,10 @@ class TestSumVariance:
 
 class TestAsymptoticSigmaSq:
     def test_per_model(self):
-        assert asymptotic_sigma_sq(Independent(), 0.5).value == 0.25
+        assert asymptotic_sigma_sq(Independent(), 0.5) == 0.25
         geo = asymptotic_sigma_sq(Geometric(gamma=0.5), 0.5)
-        assert geo.value == pytest.approx(0.25 * 3.0, rel=1e-15)
-        equi = asymptotic_sigma_sq(Equicorrelated(lam=0.1), 0.5)
-        assert not equi.is_finite
-
-    def test_sigma_sq_validation(self):
-        assert SigmaSq(0.25).is_finite
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(BadParameter):
-                SigmaSq(bad)
+        assert geo == pytest.approx(0.25 * 3.0, rel=1e-15)
+        assert asymptotic_sigma_sq(Equicorrelated(lam=0.1), 0.5) == math.inf
 
     def test_uses_abusive_variance(self):
         assert uses_abusive_variance(Equicorrelated(lam=0.5))

@@ -82,6 +82,64 @@ class TestAnalytic:
         )
 
 
+_RATES = st.one_of(st.just(0.5), st.floats(min_value=0.01, max_value=0.99))
+_MODEL_FLAGS = st.one_of(
+    st.just([]),
+    st.builds(lambda g: ["--model", "geometric", "--gamma", repr(g)], _RATES),
+    st.builds(lambda lam: ["--model", "equicorrelated", "--lambda", repr(lam)], _RATES),
+)
+
+
+class TestAnalyticIsOneGridRow:
+    @given(p=_RATES, q=_RATES, pi=_RATES, n=st.integers(1, 10**9), model=_MODEL_FLAGS)
+    @settings(max_examples=150, deadline=None)
+    def test_csv_row_equals_one_point_phase_grid(self, p, q, pi, n, model):
+        shared = ["--pi", repr(pi), "--n", str(n), *model, "--format", "csv"]
+        code, out, _ = _run_quiet(["analytic", "--p", repr(p), "--q", repr(q), *shared])
+        axes = ["--p-min", repr(p), "--p-max", repr(p), "--q-min", repr(q), "--q-max", repr(q)]
+        grid_code, grid_out, _ = _run_quiet(["phase-grid", *axes, "--resolution", "1", *shared])
+        assert code == grid_code == 0
+        (header, row), (grid_header, grid_row) = out.splitlines(), grid_out.splitlines()
+        assert grid_header.split(",") == ["p", "q", *header.split(",")]
+        assert grid_row.split(",") == [format(p, ".9g"), format(q, ".9g"), *row.split(",")]
+
+
+class _NoArrays:
+    """Stands in for numpy where no array may be allocated."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached past a size guard")
+
+
+_RATE_FLAGS = ["--p", "0.6", "--q", "0.4", "--pi", "0.5"]
+
+
+class TestHugeN:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--n", str(10**400), *_RATE_FLAGS],
+            ["phase-grid", "--n", str(10**400), "--resolution", "3", "--pi", "0.5"],
+            ["analytic", "--n", str(10**200), *_RATE_FLAGS, "--model", "equicorrelated",
+             "--lambda", "0.3"],
+            ["oracle", "--n", str(10**19), *_RATE_FLAGS],
+            ["oracle", "--n", str(10**8), *_RATE_FLAGS],
+        ],
+        ids=["analytic-1e400", "phase-grid-1e400", "equicorrelated-1e200", "oracle-1e19",
+             "oracle-binomial-1e8"],
+    )
+    def test_typed_error(self, argv, monkeypatch):
+        monkeypatch.setattr(oracle, "np", _NoArrays())
+        code, out, err = _run_quiet(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("votephase: error: ") and err.count("\n") == 1
+
+    def test_largest_exact_n_runs(self):
+        code, out, err = _run_quiet(["analytic", "--n", str(2**53), *_RATE_FLAGS])
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"]["n"] == 2**53
+
+
 class TestConfigMerging:
     def test_flags_override_file(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,15 +1,29 @@
+import contextlib
+import hashlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votephase.analytic import Phase
-from votephase.grid import max_improvement, sweep
+from votephase.analytic import Phase, delta_asymptotic, estimated_error_asymptotic
+from votephase.cli import main
+from votephase.grid import max_improvement, point, sweep
 from votephase.model import (
     ASYMPTOTIC,
     Equicorrelated,
     Geometric,
     GridSpec,
+    Independent,
     Prior,
+    RatePair,
+)
+
+rates = st.floats(min_value=0.01, max_value=0.99)
+models = st.one_of(
+    st.just(Independent()),
+    st.builds(Geometric, st.floats(min_value=0.01, max_value=0.99)),
+    st.builds(Equicorrelated, st.floats(min_value=0.01, max_value=0.99)),
 )
 
 
@@ -129,3 +143,51 @@ class TestMaxImprovement:
         spec = _spec(n=50)
         rows = sweep(spec)
         assert max_improvement(spec).value == max(-r.delta_n for r in rows)
+
+
+class TestPoint:
+    @given(p=st.one_of(st.just(0.5), rates), q=st.one_of(st.just(0.5), rates), pi=rates, model=models)
+    @settings(max_examples=300)
+    def test_asymptotic_row_is_the_asymptotic_estimate(self, p, q, pi, model):
+        r, prior = RatePair(p=p, q=q), Prior(pi=pi)
+        row = point(r, prior, model, ASYMPTOTIC)
+        assert row.err_hat == estimated_error_asymptotic(r, prior, model)
+        assert row.delta_inf == delta_asymptotic(r, prior, model)
+        assert (row.p, row.q) == (p, q)
+
+
+# sha256 of phase-grid stdout on a 49 x 49 grid that contains 0.5 on
+# both axes, generated from the source before grid rows and the
+# analytic subcommand shared ``point``.
+_GRID_AXES = [
+    "--p-min", "0.02", "--p-max", "0.98", "--q-min", "0.02", "--q-max", "0.98",
+    "--step", "0.02", "--pi", "0.4",
+]
+_GRID_MODELS = {
+    "independent": [],
+    "geometric": ["--model", "geometric", "--gamma", "0.6"],
+    "equicorrelated": ["--model", "equicorrelated", "--lambda", "0.3"],
+}
+_GRID_DIGESTS = {
+    ("independent", "101", "csv"): "2926d8a4bde6869f58fa8f1b1c2f0d2c575f03c549a2866d57b5a217bc379f8c",
+    ("independent", "101", "json"): "9f195cfdf696d213237c343b9f44d766cc59487f1ac6eb748bc8cc4127f30547",
+    ("independent", "asymptotic", "csv"): "335416b41bf05926d46bbf1b6c7d83ba5328a085cb5b2acb6517cb79480cf862",
+    ("independent", "asymptotic", "json"): "35b85811213119e29a3e4903c951ad6c880aad39e12f154e65af1f84d37c68ae",
+    ("geometric", "101", "csv"): "0afbd7b220e20b7c6b7aa82ca9d9eec226751f5c743b5cfeb52dd92c48dfc0aa",
+    ("geometric", "101", "json"): "498d7be481da28277cb8401be98eabda5dbc9c95c28238a14bd9479a53551752",
+    ("geometric", "asymptotic", "csv"): "335416b41bf05926d46bbf1b6c7d83ba5328a085cb5b2acb6517cb79480cf862",
+    ("geometric", "asymptotic", "json"): "2ca7d8bbed9eccfafa81c0875603821bd62fefe68dabb2923ba70414ad5cfbef",
+    ("equicorrelated", "101", "csv"): "452d63c261fb7699f8f800059a4b765ae8f6127d7c9b0ce3f505ae2a03b6367b",
+    ("equicorrelated", "101", "json"): "e60c8e1d0ec46842ac39e66dbab7e98ef04a842d6ec4f68e133171215e798cd3",
+    ("equicorrelated", "asymptotic", "csv"): "4b202c17458c58c1fa8fe5bab0f37c7f145044c5693e4cb34e89800c76540a74",
+    ("equicorrelated", "asymptotic", "json"): "460253e885f5c0e9ccbb68034fa9d5364fd440591afa7f3961ba170b5a2c2395",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_DIGESTS), ids="-".join)
+def test_phase_grid_output_is_pinned(key):
+    model, n, fmt = key
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["phase-grid", *_GRID_AXES, *_GRID_MODELS[model], "--n", n, "--format", fmt]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _GRID_DIGESTS[key]

@@ -1,8 +1,8 @@
-"""Every module imports only names it reads.
+"""Every module imports only names it reads, and no private name is dead.
 
-``votephase/__init__.py`` is left out: it imports names to re-export
-them. ``from __future__`` imports change the compiler, not the
-namespace, and are left out too.
+``votephase/__init__.py`` is left out of the import scan: it imports
+names to re-export them. ``from __future__`` imports change the
+compiler, not the namespace, and are left out too.
 """
 
 import ast
@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "votephase").glob("*.py"))
 MODULES = sorted(
-    path
-    for path in [*(ROOT / "src" / "votephase").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
+    path for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if path.name != "__init__.py"
 )
 
 
@@ -41,3 +40,42 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport a.b\nfrom x import y as z\nz()\n"
     assert _unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def _dead_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_name`` no module reads.
+
+    A module-level function, class or assignment target whose name
+    starts with one underscore is private. It is read where a name
+    loads it or an attribute access names it, in any of ``sources``.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(item for item in defined if item[1] not in read and not item[1].startswith("__"))
+
+
+def test_no_dead_private_code():
+    assert _dead_private_names({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_scan_finds_dead_private_code():
+    sources = {
+        "a": "_dead = 1\n_used: int = 2\ndef _f():\n    return _used\nclass _C:\n    pass\n",
+        "b": "from a import _f\n_f()\n__all__ = []\n",
+    }
+    assert _dead_private_names(sources) == [("a", "_C"), ("a", "_dead")]

@@ -135,6 +135,12 @@ class TestEnsembleConfig:
         assert cfg.n == 5
         assert isinstance(cfg.model, Independent)
 
+    def test_n_limit_is_two_to_the_53(self):
+        assert self._cfg(n=2**53).n == 2**53
+        for n in (2**53 + 1, 10**400):
+            with pytest.raises(BadSize, match="2\\*\\*53"):
+                self._cfg(n=n)
+
     @pytest.mark.parametrize("bad_n", [0, -3, 2.5, True])
     def test_rejects_bad_n(self, bad_n):
         with pytest.raises(BadSize):
@@ -239,9 +245,14 @@ class TestGridSpec:
         with pytest.raises(RateOutOfRange):
             self._spec(q_max=1.0)
 
+    def test_n_limit_is_two_to_the_53(self):
+        assert self._spec(n=2**53).n == 2**53
+        with pytest.raises(BadSize, match="2\\*\\*53"):
+            self._spec(n=2**53 + 1)
+
     def test_n_validation(self):
         assert self._spec(n=100).n == 100
-        assert self._spec(n=ASYMPTOTIC).is_asymptotic
+        assert self._spec(n=ASYMPTOTIC).n == ASYMPTOTIC
         with pytest.raises(BadSize):
             self._spec(n=0)
 

@@ -19,6 +19,7 @@ from votephase.model import (
 )
 from votephase.montecarlo import (
     CHUNK_REPS,
+    CORR_SIZE_GUARD,
     MC_SIZE_GUARD,
     DegenerateVariance,
     McEstimate,
@@ -215,6 +216,14 @@ class TestSizeGuard:
         monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
         with pytest.raises(BadSize, match="guard"):
             estimate(MC_SIZE_GUARD + 1)
+
+    def test_correlation_matrix_has_its_own_guard(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled past the size guard")
+
+        monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
+        with pytest.raises(BadSize, match=f"exceeds guard {CORR_SIZE_GUARD}$"):
+            mc_correlation_matrix(Independent(), CORR_SIZE_GUARD + 1, 0.5, 10_000, RngSeed(seed=1))
 
     @pytest.mark.parametrize("estimate", GUARD_ESTIMATORS[:2], ids=["mc_error", "conditional"])
     def test_at_guard_runs(self, estimate):

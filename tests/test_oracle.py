@@ -18,6 +18,7 @@ from votephase.model import (
     RatePair,
 )
 from votephase.oracle import (
+    BINOMIAL_SIZE_GUARD,
     BRUTE_FORCE_SIZE_GUARD,
     GEOMETRIC_SIZE_GUARD,
     SizeGuardExceeded,
@@ -143,6 +144,13 @@ class TestExactVotePmf:
             assert pmf.variance == pytest.approx(
                 sum_variance(model, n, r), rel=1e-9, abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "model", [Independent(), Equicorrelated(lam=0.3)], ids=["independent", "equicorrelated"]
+    )
+    def test_binomial_size_guard(self, model):
+        with pytest.raises(SizeGuardExceeded, match="binomial"):
+            exact_vote_pmf(model, BINOMIAL_SIZE_GUARD + 1, 0.5)
 
     def test_geometric_size_guard(self):
         with pytest.raises(SizeGuardExceeded):

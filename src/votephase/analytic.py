@@ -63,19 +63,16 @@ from .model import (
 
 _SQRT2 = math.sqrt(2.0)
 
-# Beyond this the double-precision tail is exactly 0 or 1 and erfc
-# would underflow anyway.
-_CDF_SATURATION = 40.0
-
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc, saturating for |x| > 40."""
+    """Standard normal CDF via erfc.
+
+    erfc underflows to 0 and rounds to 2 in double precision, so the
+    result is exactly 0.0 below about -38.5, exactly 1.0 above about
+    8.3, and 0.0 or 1.0 at the infinities.
+    """
     if x != x:
         raise BadParameter("std_normal_cdf is undefined at NaN")
-    if x < -_CDF_SATURATION:
-        return 0.0
-    if x > _CDF_SATURATION:
-        return 1.0
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

@@ -132,7 +132,8 @@ def _merged(args: argparse.Namespace, keys: tuple) -> dict:
                 base = json.load(fh)
             except UnicodeDecodeError as exc:
                 raise BadParameter(f"{path}: config is not UTF-8 text: {exc}") from None
-            except (json.JSONDecodeError, RecursionError) as exc:
+            # JSONDecodeError and the int digit limit's error are ValueErrors.
+            except (ValueError, RecursionError) as exc:
                 raise BadParameter(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(base, dict):
             raise BadParameter(f"{path}: config must be a JSON object")

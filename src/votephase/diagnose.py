@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -115,36 +115,27 @@ class DiagnosisReport:
     lag_means_class0: Union[np.ndarray, None] = None
 
     def to_dict(self) -> dict:
-        """JSON-ready fields; a statistic that is not finite becomes None."""
-        out = {
-            "n_samples": self.n_samples,
-            "n_classifiers": self.n_classifiers,
-            "p_hat": _finite(self.p_hat),
-            "q_hat": _finite(self.q_hat),
-            "p_hat_i": [_finite(v) for v in self.p_hat_i],
-            "q_hat_i": [_finite(v) for v in self.q_hat_i],
-            "p_std_error": _finite(self.p_std_error),
-            "q_std_error": _finite(self.q_std_error),
-            "corr_class1": _finite(self.corr_class1),
-            "corr_class0": _finite(self.corr_class0),
-            "pi_used": _finite(self.pi_used),
-            "pi_source": self.pi_source,
-            "err_hat_individual": _finite(self.err_hat_individual),
-            "err_majority": _finite(self.err_majority),
-            "verdict": {
-                "delta_inf": _finite(self.verdict.delta_inf),
-                "phase": self.verdict.phase.name.lower(),
-                "sign": self.verdict.phase.value,
-                "p_side": self.verdict.p_side.value,
-                "q_side": self.verdict.q_side.value,
-                "region": self.verdict.region,
-            },
-            "warnings": list(self.warnings),
+        """JSON-ready fields, converted by kind: an array becomes a list,
+        a float or array entry that is not finite becomes None, a None
+        field is left out, and the verdict becomes a dict."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                out[f.name] = [_finite(v) for v in value]
+            elif isinstance(value, float):
+                out[f.name] = _finite(value)
+            elif value is not None:
+                out[f.name] = value
+        out["verdict"] = {
+            "delta_inf": _finite(self.verdict.delta_inf),
+            "phase": self.verdict.phase.name.lower(),
+            "sign": self.verdict.phase.value,
+            "p_side": self.verdict.p_side.value,
+            "q_side": self.verdict.q_side.value,
+            "region": self.verdict.region,
         }
-        for name in ("lag_means_class1", "lag_means_class0"):
-            lags = getattr(self, name)
-            if lags is not None:
-                out[name] = [_finite(v) for v in lags]
+        out["warnings"] = list(self.warnings)
         return out
 
 
@@ -367,12 +358,10 @@ def format_report(report: DiagnosisReport) -> str:
         f"asymptotic verdict: {v.phase.name.lower()} (delta_inf = {v.delta_inf:.6f}, "
         f"region {v.region})",
     ]
-    if report.lag_means_class1 is not None:
-        lead = ", ".join(f"{x:.4f}" for x in report.lag_means_class1[:5])
-        lines.append(f"lag means (class 1, first 5): {lead}")
-    if report.lag_means_class0 is not None:
-        lead = ", ".join(f"{x:.4f}" for x in report.lag_means_class0[:5])
-        lines.append(f"lag means (class 0, first 5): {lead}")
+    for label, lags in ((1, report.lag_means_class1), (0, report.lag_means_class0)):
+        if lags is not None:
+            lead = ", ".join(f"{x:.4f}" for x in lags[:5])
+            lines.append(f"lag means (class {label}, first 5): {lead}")
     for w in report.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines)

@@ -86,8 +86,5 @@ def sweep(spec: GridSpec) -> list:
 
 def max_improvement(spec: GridSpec) -> Improvement:
     """Maximum of -delta_n over the grid, first argmax in row-major order."""
-    best = None
-    for row in sweep(spec):
-        if best is None or -row.delta_n > -best.delta_n:
-            best = row
+    best = max(sweep(spec), key=lambda row: -row.delta_n)
     return Improvement(value=-best.delta_n, at=(best.p, best.q))

@@ -71,6 +71,11 @@ def _as_size(value: Any, name: str, minimum: int = 1) -> int:
     return value
 
 
+def _check_type(value: Any, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise BadParameter(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _as_ensemble_size(value: Any) -> int:
     """A positive n the tie rule can use: above 2**53 a double no longer
     holds n / 2 exactly, so g > n / 2 could round the wrong way."""
@@ -129,6 +134,13 @@ class CorrelationModel:
     param: Union[str, None] = None
     param_help: str = ""
 
+    def __post_init__(self) -> None:
+        """Check the parameter, if any, under its JSON name ``param``."""
+        if self.param is not None:
+            name = fields(self)[0].name
+            value = _as_probability(getattr(self, name), self.param, BadParameter)
+            object.__setattr__(self, name, value)
+
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.param is not None:
@@ -157,11 +169,6 @@ class Geometric(CorrelationModel):
     param = "gamma"
     param_help = "geometric decay"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gamma", _as_probability(self.gamma, "gamma", BadParameter)
-        )
-
     def transitions(self, rate):
         """Chain transitions (t11, t01) at marginal rate r, float or array.
 
@@ -189,11 +196,6 @@ class Equicorrelated(CorrelationModel):
     kind = "equicorrelated"
     param = "lambda"
     param_help = "pairwise correlation"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lam", _as_probability(self.lam, "lambda", BadParameter)
-        )
 
 
 # kind -> model class; the JSON schema, the CLI flags and the --model
@@ -234,14 +236,9 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _as_ensemble_size(self.n))
-        if not isinstance(self.rates, RatePair):
-            raise BadParameter(f"rates must be a RatePair, got {self.rates!r}")
-        if not isinstance(self.prior, Prior):
-            raise BadParameter(f"prior must be a Prior, got {self.prior!r}")
-        if not isinstance(self.model, CorrelationModel):
-            raise BadParameter(
-                f"model must be a CorrelationModel, got {self.model!r}"
-            )
+        _check_type(self.rates, RatePair, "rates")
+        _check_type(self.prior, Prior, "prior")
+        _check_type(self.model, CorrelationModel, "model")
 
     def to_dict(self) -> dict:
         return {
@@ -323,10 +320,8 @@ class GridSpec:
         self._check_axis("q", self.q_min, self.q_max, rq)
         if self.n != ASYMPTOTIC:
             object.__setattr__(self, "n", _as_ensemble_size(self.n))
-        if not isinstance(self.prior, Prior):
-            raise BadParameter(f"prior must be a Prior, got {self.prior!r}")
-        if not isinstance(self.model, CorrelationModel):
-            raise BadParameter(f"model must be a CorrelationModel, got {self.model!r}")
+        _check_type(self.prior, Prior, "prior")
+        _check_type(self.model, CorrelationModel, "model")
 
     @staticmethod
     def _check_axis(name: str, lo: float, hi: float, res: int) -> None:

@@ -41,6 +41,11 @@ CHUNK_REPS = 16384
 # 330 MB at this n; refuse larger ensembles before any draw.
 MC_SIZE_GUARD = 10_000
 
+# About 61,000 chunks. The chunk sizes and the pool's futures are all
+# built up front, and 10**18 reps would exhaust memory before the first
+# draw; refuse larger counts instead.
+MC_REPS_GUARD = 10**9
+
 # mc_correlation_matrix holds several n x n arrays (the chunk Gram
 # matrices, their sum, the covariance and the correlation); at
 # MC_SIZE_GUARD they would take gigabytes.
@@ -108,6 +113,8 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> list:
     and draws from ``make_rng(seed, i)``, so the results do not depend
     on how many workers run the chunks.
     """
+    if reps > MC_REPS_GUARD:
+        raise BadSize(f"Monte Carlo reps={reps} exceeds guard {MC_REPS_GUARD}")
     full, rest = divmod(reps, CHUNK_REPS)
     sizes = [CHUNK_REPS] * full + ([rest] if rest else [])
 
@@ -151,11 +158,9 @@ def mc_conditional_error(
     estimates P(g > n/2 | class 0) at rate q. These are the two terms
     the normal approximation models with its two Phi expressions.
     """
-    if label not in (0, 1):
-        raise BadParameter(f"label must be 0 or 1, got {label!r}")
+    rate = cfg.rates.rate_for_class(label)
     reps = _as_size(reps, "reps", minimum=100)
     n = _ensemble_size(cfg.n)
-    rate = cfg.rates.rate_for_class(label)
 
     def count(rng: np.random.Generator, m: int) -> int:
         votes = sample_matrix(cfg.model, n, rate, m, rng)

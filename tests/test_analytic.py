@@ -64,6 +64,10 @@ class TestStdNormalCdf:
         assert std_normal_cdf(41.0) == 1.0
         assert std_normal_cdf(-41.0) == 0.0
         assert std_normal_cdf(1e308) == 1.0
+        assert std_normal_cdf(40.000001) == 1.0
+        assert std_normal_cdf(-40.000001) == 0.0
+        assert std_normal_cdf(math.inf) == 1.0
+        assert std_normal_cdf(-math.inf) == 0.0
 
     def test_nan_rejected(self):
         with pytest.raises(BadParameter):

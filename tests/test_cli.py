@@ -190,6 +190,15 @@ class TestConfigMerging:
         code, _, err = _run(capsys, ["analytic", "--config", str(path)])
         assert code == 1 and "invalid JSON" in err
 
+    def test_config_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # Python refuses to convert an int literal of more than 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": ' + "9" * 5000 + "}")
+        code, out, err = _run(capsys, ["analytic", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("votephase: error:")
+        assert "invalid JSON" in err
+
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["analytic", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -401,6 +410,22 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("votephase: error:")
         assert str(montecarlo.MC_SIZE_GUARD) in err
+
+    def test_giant_reps_refused_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled past the reps guard")
+
+        monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--n", "11", "--p", "0.6", "--q", "0.4", "--pi", "0.5",
+             "--reps", str(10**18), "--seed", "1"],
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"votephase: error: Monte Carlo reps={10**18} exceeds guard "
+            f"{montecarlo.MC_REPS_GUARD}\n"
+        )
 
 
 class TestPhaseGrid:

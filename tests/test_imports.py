@@ -2,13 +2,19 @@
 
 ``votephase/__init__.py`` is left out of the import scan: it imports
 names to re-export them. ``from __future__`` imports change the
-compiler, not the namespace, and are left out too.
+compiler, not the namespace, and are left out too. The ``__all__`` of
+``__init__.py`` must list exactly the names it imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import votephase
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "votephase").glob("*.py"))
@@ -79,3 +85,28 @@ def test_scan_finds_dead_private_code():
         "b": "from a import _f\n_f()\n__all__ = []\n",
     }
     assert _dead_private_names(sources) == [("a", "_C"), ("a", "_dead")]
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((ROOT / "src" / "votephase" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(votephase.__all__) == len(set(votephase.__all__))
+    assert set(votephase.__all__) == set(imported)
+
+
+def test_diagnose_stays_the_function_after_its_module_is_imported():
+    # A package attribute named like a submodule is rebound to the
+    # submodule when that submodule is first imported, so a re-export
+    # resolved lazily would lose to `import votephase.diagnose`.
+    code = (
+        "import sys, votephase.diagnose, votephase\n"
+        "assert votephase.diagnose is sys.modules['votephase.diagnose'].diagnose\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

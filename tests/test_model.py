@@ -70,6 +70,19 @@ class TestCorrelationModels:
             with pytest.raises(BadParameter):
                 cls(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            (lambda: Geometric(gamma=1.5), r"^gamma must lie strictly inside \(0, 1\), got 1\.5$"),
+            (lambda: Equicorrelated(lam=0.0), r"^lambda must lie strictly inside \(0, 1\), got 0\.0$"),
+            (lambda: Equicorrelated(lam="x"), r"^lambda must be a real number, got 'x'$"),
+        ],
+        ids=["gamma", "lambda", "lambda-non-numeric"],
+    )
+    def test_parameter_errors_use_the_json_name(self, model, message):
+        with pytest.raises(BadParameter, match=message):
+            model()
+
     def test_dict_round_trip(self):
         for model in (
             Independent(),
@@ -153,6 +166,19 @@ class TestEnsembleConfig:
             self._cfg(prior=0.5)
         with pytest.raises(BadParameter):
             self._cfg(model="geometric")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("rates", (0.7, 0.3), "rates must be a RatePair, got (0.7, 0.3)"),
+            ("prior", 0.5, "prior must be a Prior, got 0.5"),
+            ("model", "geometric", "model must be a CorrelationModel, got 'geometric'"),
+        ],
+    )
+    def test_wrong_type_messages(self, field, value, message):
+        with pytest.raises(BadParameter) as info:
+            self._cfg(**{field: value})
+        assert str(info.value) == message
 
     def test_dict_round_trip(self):
         cfg = self._cfg(model=Geometric(gamma=0.6))
@@ -238,6 +264,18 @@ class TestGridSpec:
     def test_rejects_bad_resolution(self, bad):
         with pytest.raises(BadSize):
             self._spec(resolution=bad)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("prior", 0.5, "prior must be a Prior, got 0.5"),
+            ("model", None, "model must be a CorrelationModel, got None"),
+        ],
+    )
+    def test_wrong_type_messages(self, field, value, message):
+        with pytest.raises(BadParameter) as info:
+            self._spec(**{field: value})
+        assert str(info.value) == message
 
     def test_boundary_endpoints_rejected(self):
         with pytest.raises(RateOutOfRange):

@@ -20,6 +20,7 @@ from votephase.model import (
 from votephase.montecarlo import (
     CHUNK_REPS,
     CORR_SIZE_GUARD,
+    MC_REPS_GUARD,
     MC_SIZE_GUARD,
     DegenerateVariance,
     McEstimate,
@@ -224,6 +225,23 @@ class TestSizeGuard:
         monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
         with pytest.raises(BadSize, match=f"exceeds guard {CORR_SIZE_GUARD}$"):
             mc_correlation_matrix(Independent(), CORR_SIZE_GUARD + 1, 0.5, 10_000, RngSeed(seed=1))
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda reps: mc_error(_cfg(11, 0.6, 0.4), reps, RngSeed(seed=1)),
+            lambda reps: mc_conditional_error(_cfg(11, 0.6, 0.4), 0, reps, RngSeed(seed=1)),
+        ],
+        ids=["mc_error", "conditional"],
+    )
+    def test_reps_above_guard_refused_before_any_draw(self, estimate, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled past the reps guard")
+
+        monkeypatch.setattr(montecarlo, "sample_matrix", no_draw)
+        monkeypatch.setattr(montecarlo, "make_rng", no_draw)
+        with pytest.raises(BadSize, match=f"^Monte Carlo reps={MC_REPS_GUARD + 1} exceeds guard"):
+            estimate(MC_REPS_GUARD + 1)
 
     @pytest.mark.parametrize("estimate", GUARD_ESTIMATORS[:2], ids=["mc_error", "conditional"])
     def test_at_guard_runs(self, estimate):

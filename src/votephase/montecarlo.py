@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -106,12 +106,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> list:
-    """fn(rng, m) for each chunk of the reps, returned in chunk order.
+def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
+    """fn(rng, m) for each chunk of the reps, yielded in chunk order.
 
     Chunk i holds CHUNK_REPS replications (the last one the remainder)
     and draws from ``make_rng(seed, i)``, so the results do not depend
-    on how many workers run the chunks.
+    on how many workers run the chunks. Callers reduce each result as
+    it arrives, so earlier results need not stay alive.
     """
     if reps > MC_REPS_GUARD:
         raise BadSize(f"Monte Carlo reps={reps} exceeds guard {MC_REPS_GUARD}")
@@ -123,9 +124,10 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> list:
 
     workers = min(len(sizes), _cpus())
     if workers == 1:
-        return [chunk(i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, range(len(sizes))))
+        yield from map(chunk, range(len(sizes)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(chunk, range(len(sizes)))
 
 
 def mc_error(cfg: EnsembleConfig, reps: int, seed: RngSeed) -> McEstimate:
@@ -201,8 +203,8 @@ def mc_correlation_matrix(
 ) -> CorrelationSummary:
     """Unbiased sample correlations between vote positions.
 
-    Accumulates per-chunk first and second moments, reduced in chunk
-    order, then forms the sample covariance with ddof=1. A chunk's
+    Adds each chunk's first and second moments as the chunk ends, in
+    chunk order, then forms the sample covariance with ddof=1. A chunk's
     moments are computed in float32, which holds them exactly: each is
     a count of at most CHUNK_REPS < 2**24 ones. They are summed over
     chunks in float64. ``lag_means`` holds the mean correlation at each

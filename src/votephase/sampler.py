@@ -1,15 +1,16 @@
 """Seeded generation of correlated vote vectors.
 
-Randomness is counter-based: every public operation derives a fresh
-Philox generator from an ``RngSeed`` plus an explicit integer path, so
-substreams are reproducible and statistically independent regardless of
-evaluation order. A fixed number of uniforms is consumed per vector
-independent of outcomes, which keeps mixed-class batches deterministic.
+Every public operation derives a fresh PCG64DXSM generator from an
+``RngSeed`` plus an explicit integer path. The path is the spawn key of
+a ``SeedSequence``, which makes the substreams reproducible and
+statistically independent regardless of evaluation order. A fixed
+number of uniforms is consumed per vector independent of outcomes,
+which keeps mixed-class batches deterministic.
 
 Votes are built column-major: the uniforms of a (count, n) matrix are
 drawn ``_BLOCK_ROWS`` rows at a time, in stream order, and compared into
 C-contiguous (n, count) bool matrices, one row per vote position. Block
-after block consumes a Philox stream exactly as one (count, n) draw
+after block consumes the stream exactly as one (count, n) draw
 does, so the votes and the generator state afterwards are the same as a
 row-major draw's, while only one small block of floats is alive.
 
@@ -69,9 +70,13 @@ class RngSeed:
 
 
 def make_rng(seed: RngSeed, *path: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream) and an integer path."""
+    """PCG64DXSM generator keyed by (seed, stream) and an integer path.
+
+    The path is the ``SeedSequence`` spawn key, so distinct paths give
+    independent substreams.
+    """
     ss = np.random.SeedSequence(entropy=(seed.seed, seed.stream), spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:

@@ -22,6 +22,18 @@ SOURCES = ("workloads.py", "layers.py", "run.py")
 sys.path.insert(0, str(PERFBENCH))
 import layers  # noqa: E402
 import run  # noqa: E402
+import workloads  # noqa: E402
+
+from votephase import (  # noqa: E402
+    EnsembleConfig,
+    Equicorrelated,
+    Geometric,
+    Independent,
+    Prior,
+    RatePair,
+    RngSeed,
+    montecarlo,
+)
 
 
 def _resolve(dotted: str):
@@ -98,6 +110,41 @@ def test_names_taken_from_votephase_resolve():
     } <= names
     for name in sorted(names):
         _resolve(name)
+
+
+def _recorded(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records (args, kwargs, result)."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Independent(), Geometric(workloads.GAMMA), Equicorrelated(workloads.LAM)],
+    ids=lambda m: m.kind,
+)
+def test_one_mc_chunk_makes_the_spans_the_sampler_metrics_read(model, monkeypatch):
+    # layers.layer_metrics takes sampler.votes_per_s.* from sample_matrix
+    # calls whose recorded detail is (model kind, (CHUNK_ROWS, MC_N)), and
+    # montecarlo.chunks from make_rng calls under mc_error
+    rngs = _recorded(monkeypatch, montecarlo, "make_rng")
+    samples = _recorded(monkeypatch, montecarlo, "sample_matrix")
+    cfg = EnsembleConfig(workloads.MC_N, RatePair(0.6, 0.4), Prior(workloads.PI), model)
+    montecarlo.mc_error(cfg, layers.CHUNK_ROWS, RngSeed(seed=1))
+    assert len(rngs) == 1
+    [(args, kwargs, votes)] = samples
+    shape = (layers.CHUNK_ROWS, workloads.MC_N)
+    assert votes.shape == shape
+    detail = dict((t[0], t[2]) for t in layers.TARGETS)["votephase.montecarlo.sample_matrix"]
+    assert detail(args, kwargs, votes) == (model.kind, shape)
 
 
 def test_perfbench_unit_tests_pass():

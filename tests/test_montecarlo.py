@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestMcEstimate:
 class TestChunking:
     def test_chunk_sizes_partition_reps(self):
         for reps in (100, CHUNK_REPS, CHUNK_REPS + 1, 3 * CHUNK_REPS + 17):
-            sizes = _per_chunk(reps, RngSeed(seed=1), lambda rng, m: m)
+            sizes = list(_per_chunk(reps, RngSeed(seed=1), lambda rng, m: m))
             assert sum(sizes) == reps
             assert all(0 < s <= CHUNK_REPS for s in sizes)
             assert all(s == CHUNK_REPS for s in sizes[:-1])
@@ -69,7 +70,7 @@ class TestChunking:
     def test_chunk_i_draws_from_substream_i(self, monkeypatch):
         seed = RngSeed(seed=5)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
-        draws = _per_chunk(3 * CHUNK_REPS, seed, lambda rng, m: rng.random())
+        draws = list(_per_chunk(3 * CHUNK_REPS, seed, lambda rng, m: rng.random()))
         assert draws == [make_rng(seed, i).random() for i in range(3)]
 
     def test_workers_are_chunks_capped_by_cpus(self, monkeypatch):
@@ -83,8 +84,8 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
         for cpus in (1, 2, 8):
             monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
-            _per_chunk(3 * CHUNK_REPS, RngSeed(seed=1), lambda rng, m: m)
-        _per_chunk(100, RngSeed(seed=1), lambda rng, m: m)
+            list(_per_chunk(3 * CHUNK_REPS, RngSeed(seed=1), lambda rng, m: m))
+        list(_per_chunk(100, RngSeed(seed=1), lambda rng, m: m))
         # one CPU or one chunk runs on the calling thread
         assert pools == [2, 3]
 
@@ -196,6 +197,23 @@ class TestMcCorrelationMatrix:
         b = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
         np.testing.assert_array_equal(a.correlation, b.correlation)
         assert a.off_diagonal_mean == b.off_diagonal_mean
+
+    def test_peak_memory_flat_in_chunk_count(self, monkeypatch):
+        # each chunk's n x n float32 Gram matrix is added as it arrives;
+        # holding them all until the last chunk grew the peak by one
+        # Gram matrix per chunk
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        n = 200
+
+        def peak(chunks: int) -> int:
+            tracemalloc.start()
+            try:
+                mc_correlation_matrix(Independent(), n, 0.5, chunks * CHUNK_REPS, RngSeed(seed=71))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= peak(2) + n * n * np.dtype(np.float32).itemsize
 
 
 class TestSizeGuard:

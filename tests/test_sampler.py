@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from votephase.model import (
     BadParameter,
@@ -16,6 +17,7 @@ from votephase.model import (
     Prior,
     RatePair,
 )
+from votephase.oracle import exact_vote_pmf
 from votephase.sampler import RngSeed, make_rng, sample_matrix
 
 from reference import sample_labeled_votes, sample_matrix_reference
@@ -198,14 +200,15 @@ class TestStreamPreservation:
         assert np.array_equal(new_rng.random(3), ref_rng.random(3))
 
     # sha256 of the votes and the next three uniforms, generated from
-    # the row-major sampler this one replaced
+    # tests/reference.py:sample_matrix_reference (the row-major
+    # sampler) on the PCG64DXSM stream that make_rng builds
     DIGESTS = {
-        ("independent", 16384): "4c85373b810f045ac5dce5cc948153fb3d1bbd13ef1c103374f86294ad4c56c5",
-        ("independent", 3392): "14aaf801b0ee9f47b7083f880b1066c773b048b6ef3663bd88aace2b672d4a8e",
-        ("geometric", 16384): "9e4e1cbd0852ef9b1e21a63e9e09a01ab680b7fbd0cb56739a2b341732662705",
-        ("geometric", 3392): "6805c45a2dd3b7aa1eaa2e761b51b7816976804cde8c512daef91c852cd8214c",
-        ("equicorrelated", 16384): "1e6890602aa719cd3efe8c9e52644e3404431b0e2e4ecf27c40c34115c6cba9e",
-        ("equicorrelated", 3392): "1e297d8f4ed2e67468023a6962a0510f728e20b4b26c05e98666ec093b143413",
+        ("independent", 16384): "e4649f869c68609fe4b5472608cedc79a6172d5602d217a71bfc9f22d5c664a9",
+        ("independent", 3392): "ad487f5be4ca7be62185cf5396690ebe32cf923a51926c2c55c3cc34d83c09fe",
+        ("geometric", 16384): "931875743ab1434c8e64a75da9414059ac4a154c109a3f1073d3dbcd0b52d469",
+        ("geometric", 3392): "586f9b06ad65cafb7b10e0544d6ace81a74096a2fe6c4e36dd86acda3386aa8b",
+        ("equicorrelated", 16384): "bce21c04565622fe46115bd7611898464e80818ffd212cc64dc7c44654b5da9b",
+        ("equicorrelated", 3392): "267be854867cfeb62358e2638704294e525201d63e37af79b9d8a240848d1666",
     }
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
@@ -217,6 +220,34 @@ class TestStreamPreservation:
         digest = hashlib.sha256(np.ascontiguousarray(votes).tobytes())
         digest.update(rng.random(3).tobytes())
         assert digest.hexdigest() == self.DIGESTS[model.kind, count]
+
+
+class TestGoodnessOfFit:
+    """Row sums of sampled votes follow the oracle's pmf of the vote sum."""
+
+    @staticmethod
+    def _pooled(observed: np.ndarray, expected: np.ndarray) -> tuple:
+        """Adjacent sums pooled from k = 0 up until each pool expects >= 5."""
+        starts, acc = [0], 0.0
+        for k, e in enumerate(expected):
+            acc += e
+            if acc >= 5.0:
+                starts.append(k + 1)
+                acc = 0.0
+        # the last start opens an empty or short pool: join it to the one before
+        starts.pop()
+        return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_row_sums_match_exact_pmf(self, model):
+        n, rate, count = 101, 0.6, 200_000
+        votes = sample_matrix(model, n, rate, count, make_rng(RngSeed(seed=83)))
+        observed = np.bincount(votes.sum(axis=1), minlength=n + 1)
+        expected = count * exact_vote_pmf(model, n, rate).mass
+        observed, expected = self._pooled(observed, expected)
+        assert expected.min() >= 5.0 and observed.sum() == count
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(statistic, expected.size - 1) >= 1e-4
 
 
 class TestWorkingSet:

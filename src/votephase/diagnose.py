@@ -17,9 +17,11 @@ dependence behind the asymptotic limit is no longer credible.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Union
@@ -68,9 +70,9 @@ class PredictionMatrix:
             raise BadSize(f"need at least 2 samples, got {labels.shape[0]}")
         if votes.shape[1] < 1:
             raise BadSize("need at least 1 classifier column")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise NonBinaryEntry("labels must be 0 or 1")
-        if not np.isin(votes, (0, 1)).all():
+        if not ((votes == 0) | (votes == 1)).all():
             raise NonBinaryEntry("votes must be 0 or 1")
         labels = labels.astype(np.uint8)
         votes = votes.astype(np.uint8)
@@ -289,22 +291,57 @@ def diagnose(
     )
 
 
-def read_prediction_csv(source: Union[str, io.TextIOBase]) -> PredictionMatrix:
+def read_prediction_csv(
+    source: Union[str, bytes, os.PathLike, io.TextIOBase],
+) -> PredictionMatrix:
     """Parse the ``y,f1,...,fm`` CSV schema into a PredictionMatrix.
 
-    A path is read as UTF-8. Bytes that do not decode, and rows the csv
-    module cannot split (such as a cell over its field size limit),
-    raise BadParameter.
+    A path (str, bytes or os.PathLike) is read once, and a leading
+    UTF-8 byte-order mark is dropped. A canonical file is parsed in one
+    numpy pass: an ASCII header line without quotes or carriage
+    returns, then rows of one-byte 0/1 cells joined by ``,``, each row
+    ending in a newline. Any other file, and any text stream, is parsed
+    line by line as UTF-8 text; both ways give the same matrix, and
+    every error comes from the line-by-line way. Bytes that do not
+    decode, and rows the csv module cannot split (such as a cell over
+    its field size limit), raise BadParameter.
     """
     try:
-        if isinstance(source, (str, bytes)):
-            with open(source, newline="", encoding="utf-8") as fh:
-                return _parse_csv(fh)
-        return _parse_csv(source)
+        if not isinstance(source, (str, bytes, os.PathLike)):
+            return _parse_csv(source)
+        with open(source, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+        matrix = _parse_canonical(data)
+        if matrix is None:
+            # decoded lazily, as a file opened in text mode is, so a
+            # bad row still wins over bad bytes further down the file
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+            matrix = _parse_csv(text)
+        return matrix
     except UnicodeDecodeError as exc:
         raise BadParameter(f"CSV is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise BadParameter(f"malformed CSV: {exc}") from None
+
+
+def _parse_canonical(data: bytes) -> Union[PredictionMatrix, None]:
+    """The matrix of a canonical file, or None for any other layout."""
+    head, _, body = data.partition(b"\n")
+    if not head.isascii() or b'"' in head or b"\r" in head:
+        return None
+    header = [h.strip() for h in head.decode("ascii").split(",")]
+    row = 2 * len(header)
+    if header[0] != "y" or len(header) < 2 or not body or len(body) % row:
+        return None
+    text = np.frombuffer(body, dtype=np.uint8).reshape(-1, row)
+    cells = text[:, 0::2] - ord("0")
+    if (
+        (cells > 1).any()
+        or (text[:, 1:-1:2] != ord(",")).any()
+        or (text[:, -1] != ord("\n")).any()
+    ):
+        return None
+    return PredictionMatrix(labels=cells[:, 0], votes=cells[:, 1:])
 
 
 def _parse_csv(fh) -> PredictionMatrix:

@@ -32,6 +32,7 @@ from votephase import (  # noqa: E402
     Prior,
     RatePair,
     RngSeed,
+    cli,
     montecarlo,
 )
 
@@ -145,6 +146,22 @@ def test_one_mc_chunk_makes_the_spans_the_sampler_metrics_read(model, monkeypatc
     assert votes.shape == shape
     detail = dict((t[0], t[2]) for t in layers.TARGETS)["votephase.montecarlo.sample_matrix"]
     assert detail(args, kwargs, votes) == (model.kind, shape)
+
+
+def test_benchmark_csv_takes_the_bulk_parser(tmp_path, monkeypatch):
+    # diagnose.read_csv_s times cli.read_prediction_csv on the file that
+    # write_prediction_csv makes; it must not reach the line-by-line parser
+    def refuse(fh):
+        raise AssertionError("line-by-line CSV parser called")
+
+    monkeypatch.setattr(importlib.import_module("votephase.diagnose"), "_parse_csv", refuse)
+    small = tmp_path / "small.csv"
+    small.write_bytes(b"y,f1,f2\n1,1,0\n0,0,1\n")
+    bench = tmp_path / "bench.csv"
+    workloads.write_prediction_csv(bench, workloads.Inputs.from_seed(5))
+    assert cli.read_prediction_csv(str(small)).votes.tolist() == [[1, 0], [0, 1]]
+    matrix = cli.read_prediction_csv(str(bench))
+    assert matrix.votes.shape == (workloads.CSV_ROWS, workloads.MC_N)
 
 
 def test_perfbench_unit_tests_pass():

@@ -537,6 +537,16 @@ class TestDiagnoseCommand:
         assert code == 0
         assert json.loads(out)["lag_means_class1"] is not None
 
+    def test_byte_order_mark_is_dropped(self, capsys, csv_path, tmp_path):
+        plain = Path(csv_path).read_bytes()
+        for body in (plain, plain.replace(b"\n", b"\r\n")):
+            path = tmp_path / "bom.csv"
+            path.write_bytes(b"\xef\xbb\xbf" + body)
+            for fmt in ("text", "json"):
+                want = _run(capsys, ["diagnose", "--input", csv_path, "--format", fmt])
+                got = _run(capsys, ["diagnose", "--input", str(path), "--format", fmt])
+                assert got == want and got[0] == 0
+
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["diagnose", "--input", str(tmp_path / "nope.csv")])
         assert code == 2

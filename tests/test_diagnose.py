@@ -1,15 +1,20 @@
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votephase.analytic import Phase, limiting_delta
 from votephase.diagnose import (
     NonBinaryEntry,
     PredictionMatrix,
     SingleClassData,
+    _parse_csv,
     diagnose,
     format_report,
     read_prediction_csv,
@@ -53,6 +58,22 @@ class TestPredictionMatrix:
             PredictionMatrix(labels=[0, 2], votes=[[1], [0]])
         with pytest.raises(NonBinaryEntry):
             PredictionMatrix(labels=[0, 1], votes=[[1], [5]])
+        # values are compared whatever the dtype: "0"/"1" text is not
+        # binary, while 0/1 held as bool, float or object is
+        for bad in (
+            np.array(["1", "0"]),
+            np.array([1, "0"], dtype=object),
+            [1.0, 0.5],
+            [1.0, np.nan],
+            [1, 2],
+        ):
+            with pytest.raises(NonBinaryEntry, match="labels"):
+                PredictionMatrix(labels=bad, votes=[[1], [0]])
+            with pytest.raises(NonBinaryEntry, match="votes"):
+                PredictionMatrix(labels=[0, 1], votes=np.asarray(bad)[:, None])
+        for good in (np.array([True, False]), np.array([1, 0], dtype=object), [1.0, 0.0]):
+            matrix = PredictionMatrix(labels=good, votes=np.asarray(good)[:, None])
+            assert matrix.labels.tolist() == [1, 0] and matrix.votes.tolist() == [[1], [0]]
 
     def test_too_small_rejected(self):
         with pytest.raises(BadSize):
@@ -193,6 +214,14 @@ class TestReadPredictionCsv:
         assert matrix.n_samples == 4 and matrix.n_classifiers == 2
         np.testing.assert_array_equal(matrix.labels, [1, 0, 1, 0])
 
+    def test_accepts_path_like(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        for text in ("y,f1\n0,1\n1,0\n", "y, f1\r\n0, 1\r\n1, 0"):
+            path.write_bytes(text.encode())
+            matrix = read_prediction_csv(path)
+            np.testing.assert_array_equal(matrix.labels, [0, 1])
+            np.testing.assert_array_equal(matrix.votes, [[1], [0]])
+
     def test_accepts_file_objects(self):
         matrix = read_prediction_csv(io.StringIO("y,f1\n0,1\n1,0\n"))
         assert matrix.n_samples == 2
@@ -213,6 +242,12 @@ class TestReadPredictionCsv:
         with pytest.raises(NonBinaryEntry, match="line 3"):
             read_prediction_csv(io.StringIO("y,f1\n0,1\n1,7\n"))
 
+    def test_bad_row_reported_before_bad_bytes_further_down(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"y,f1\n0,1\n1,7\n" + b"0,1\n" * 5000 + b"0,\xff\n")
+        with pytest.raises(NonBinaryEntry, match="line 3"):
+            read_prediction_csv(path)
+
     def test_ragged_row_rejected(self):
         with pytest.raises(BadParameter, match="line 2"):
             read_prediction_csv(io.StringIO("y,f1,f2\n0,1\n"))
@@ -220,3 +255,62 @@ class TestReadPredictionCsv:
     def test_cell_over_csv_field_limit_rejected(self):
         with pytest.raises(BadParameter, match="malformed CSV: field larger"):
             read_prediction_csv(io.StringIO("y,f1\n1," + "1" * 200_000 + "\n0,0\n"))
+
+
+def _outcome(parse, source) -> tuple:
+    """What a parser makes of ``source``: the matrix, or the error."""
+    try:
+        matrix = parse(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.labels.tolist(), matrix.votes.tolist()
+
+
+@st.composite
+def _canonical_csv(draw) -> str:
+    """A canonical y,f1,...,fm file: N >= 2 rows of one-digit 0/1
+    cells, each row ending in a newline; often of one class only."""
+    m = draw(st.integers(1, 8))
+    classes = draw(st.sampled_from([[0], [1], [0, 1]]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=2, max_size=30))
+    rows = [[y, *draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m))] for y in labels]
+    header = ["y", *(f"f{i}" for i in range(1, m + 1))]
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+class TestCanonicalFastPath:
+    @given(text=_canonical_csv())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_line_by_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "preds.csv"
+            path.write_bytes(text.encode())
+            fast = _outcome(read_prediction_csv, path)
+        assert fast == _outcome(_parse_csv, io.StringIO(text, newline=""))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"y,f1\n0,1,1,0,",
+            b"y,f1\n0,1\r1,0\n",
+            b"y,f1\n0;1\n1,0\n",
+            b"y,f1\n0,1\n1,2\n",
+            b"y,f1\n0,1\n1,/\n",
+            b"y,f1\n0,1\n1,0",
+            b"y,f1\n0,1\n\n1,0\n",
+            b"y,f1\r\n0,1\r\n1,0\r\n",
+            b'"y",f1\n0,1\n1,0\n',
+            b'y,"f1,f2"\n0,1,1\n1,0,0\n',
+            b"y,f1\r0,1\n1,0,1\n0,1,0\n",
+            b" y , f1 \n0,1\n1,0\n",
+            b"y,f\xc3\xa9\n0,1\n1,0\n",
+            b"\n0,1\n1,0\n",
+            b"y\n0\n1\n",
+            b"y,f1\n",
+        ],
+    )
+    def test_near_canonical_layouts_match_line_by_line_parser(self, data, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(data)
+        text = io.StringIO(data.decode(), newline="")
+        assert _outcome(read_prediction_csv, path) == _outcome(_parse_csv, text)

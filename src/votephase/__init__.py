@@ -5,37 +5,21 @@ jumps discontinuously as the member rates cross 1/2; this package
 provides the closed-form analysis, exact finite-n oracles, seeded Monte
 Carlo, grid sweeps over the (p, q) square, and diagnosis of real
 prediction matrices.
+
+The package exports what README documents; every other function is
+importable from its own module.
 """
 
-from .analytic import (
-    Phase,
-    PhaseVerdict,
-    Side,
-    asymptotic_sigma_sq,
-    delta,
-    delta_asymptotic,
-    estimated_error,
-    estimated_error_asymptotic,
-    geometric_variance_factor,
-    limiting_delta,
-    limiting_error,
-    mean_individual_error,
-    phase_of,
-    side_of,
-    std_normal_cdf,
-    sum_variance,
-    uses_abusive_variance,
-)
+from .analytic import Phase, PhaseVerdict, Side, delta, estimated_error, limiting_delta
 from .diagnose import (
     DiagnosisReport,
     NonBinaryEntry,
     PredictionMatrix,
     SingleClassData,
     diagnose,
-    format_report,
     read_prediction_csv,
 )
-from .grid import GridRow, Improvement, max_improvement, sweep
+from .grid import GridRow, sweep
 from .model import (
     ASYMPTOTIC,
     BadParameter,
@@ -53,11 +37,9 @@ from .model import (
     VotePhaseError,
 )
 from .montecarlo import (
-    CHUNK_REPS,
     CORR_SIZE_GUARD,
     MC_REPS_GUARD,
     MC_SIZE_GUARD,
-    CorrelationSummary,
     DegenerateVariance,
     McEstimate,
     mc_conditional_error,
@@ -70,12 +52,11 @@ from .oracle import (
     GEOMETRIC_SIZE_GUARD,
     SizeGuardExceeded,
     VotePmf,
-    binomial_pmf,
     brute_force_error,
     exact_error,
     exact_vote_pmf,
 )
-from .sampler import RngSeed, make_rng, sample_matrix
+from .sampler import RngSeed
 
 __version__ = "0.1.0"
 
@@ -85,10 +66,8 @@ __all__ = [
     "BRUTE_FORCE_SIZE_GUARD",
     "BadParameter",
     "BadSize",
-    "CHUNK_REPS",
     "CORR_SIZE_GUARD",
     "CorrelationModel",
-    "CorrelationSummary",
     "DegenerateVariance",
     "DiagnosisReport",
     "EnsembleConfig",
@@ -98,7 +77,6 @@ __all__ = [
     "Geometric",
     "GridRow",
     "GridSpec",
-    "Improvement",
     "Independent",
     "MC_REPS_GUARD",
     "MC_SIZE_GUARD",
@@ -116,32 +94,16 @@ __all__ = [
     "SizeGuardExceeded",
     "VotePhaseError",
     "VotePmf",
-    "asymptotic_sigma_sq",
-    "binomial_pmf",
     "brute_force_error",
     "delta",
-    "delta_asymptotic",
     "diagnose",
     "estimated_error",
-    "estimated_error_asymptotic",
     "exact_error",
     "exact_vote_pmf",
-    "format_report",
-    "geometric_variance_factor",
     "limiting_delta",
-    "limiting_error",
-    "make_rng",
-    "max_improvement",
     "mc_conditional_error",
     "mc_correlation_matrix",
     "mc_error",
-    "mean_individual_error",
-    "phase_of",
     "read_prediction_csv",
-    "sample_matrix",
-    "side_of",
-    "std_normal_cdf",
-    "sum_variance",
     "sweep",
-    "uses_abusive_variance",
 ]

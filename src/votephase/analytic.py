@@ -179,14 +179,20 @@ def estimated_error_asymptotic(
     ``limiting_error``. For the equicorrelated model the n's cancel
     inside the Phi arguments and the plug-in value is n-free:
     equivalent to an independent ensemble of effective size 1/lam.
+
+    lam r (1 - r) underflows to 0 only where the true Phi argument
+    exceeds 1e145 in size, or is 0 at r = 1/2. Flooring it at the
+    smallest positive double gives exactly Phi(+-inf) or Phi(0) there,
+    and leaves every positive variance as it is.
     """
     if isinstance(model, Equicorrelated):
         lam = model.lam
         pi = prior.pi
         p, q = rates.p, rates.q
-        miss = std_normal_cdf((0.5 - p) / math.sqrt(lam * p * (1.0 - p)))
+        tiny = math.ulp(0.0)
+        miss = std_normal_cdf((0.5 - p) / math.sqrt(max(lam * p * (1.0 - p), tiny)))
         # upper tail mirrored to avoid 1 - Phi cancellation
-        false_alarm = std_normal_cdf((q - 0.5) / math.sqrt(lam * q * (1.0 - q)))
+        false_alarm = std_normal_cdf((q - 0.5) / math.sqrt(max(lam * q * (1.0 - q), tiny)))
         return miss * pi + false_alarm * (1.0 - pi)
     return limiting_error(rates, prior)
 
@@ -292,16 +298,3 @@ def limiting_delta(rates: RatePair, prior: Prior) -> PhaseVerdict:
 def delta(cfg: EnsembleConfig) -> float:
     """delta(n) = estimated_error(cfg) - err, the finite-n gap."""
     return estimated_error(cfg) - mean_individual_error(cfg.rates, cfg.prior)
-
-
-def delta_asymptotic(
-    rates: RatePair, prior: Prior, model: CorrelationModel
-) -> float:
-    """n -> inf gap under the model's own asymptotic estimate.
-
-    Finite-variance models reduce to ``limiting_delta(...).delta_inf``;
-    the equicorrelated model uses its n-free plug-in value.
-    """
-    return estimated_error_asymptotic(rates, prior, model) - mean_individual_error(
-        rates, prior
-    )

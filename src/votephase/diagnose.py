@@ -296,15 +296,15 @@ def read_prediction_csv(
 ) -> PredictionMatrix:
     """Parse the ``y,f1,...,fm`` CSV schema into a PredictionMatrix.
 
-    A path (str, bytes or os.PathLike) is read once, and a leading
-    UTF-8 byte-order mark is dropped. A canonical file is parsed in one
-    numpy pass: an ASCII header line without quotes or carriage
-    returns, then rows of one-byte 0/1 cells joined by ``,``, each row
-    ending in a newline. Any other file, and any text stream, is parsed
-    line by line as UTF-8 text; both ways give the same matrix, and
-    every error comes from the line-by-line way. Bytes that do not
-    decode, and rows the csv module cannot split (such as a cell over
-    its field size limit), raise BadParameter.
+    A path (str, bytes or os.PathLike) is read once. A leading UTF-8
+    byte-order mark is dropped, from a path or a text stream. A
+    canonical file is parsed in one numpy pass: an ASCII header line
+    without quotes or carriage returns, then rows of one-byte 0/1 cells
+    joined by ``,``, each row ending in a newline. Any other file, and
+    any text stream, is parsed line by line as UTF-8 text; both ways
+    give the same matrix, and every error comes from the line-by-line
+    way. Bytes that do not decode, and rows the csv module cannot split
+    (such as a cell over its field size limit), raise BadParameter.
     """
     try:
         if not isinstance(source, (str, bytes, os.PathLike)):
@@ -350,6 +350,9 @@ def _parse_csv(fh) -> PredictionMatrix:
         header = next(reader)
     except StopIteration:
         raise BadParameter("empty CSV: expected header y,f1,...,fm") from None
+    if header:
+        # a text stream may still start with the UTF-8 byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     if not header or header[0] != "y" or len(header) < 2:
         raise BadParameter(

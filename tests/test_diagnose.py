@@ -226,6 +226,17 @@ class TestReadPredictionCsv:
         matrix = read_prediction_csv(io.StringIO("y,f1\n0,1\n1,0\n"))
         assert matrix.n_samples == 2
 
+    def test_byte_order_mark_dropped_from_text_streams(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("y,f1\n0,1\n1,0\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeffy,f1\n0,1\n1,0\n", encoding="utf-8")
+        want = _outcome(read_prediction_csv, plain)
+        assert want == ([0, 1], [[1], [0]])
+        with open(marked, encoding="utf-8", newline="") as fh:
+            assert _outcome(read_prediction_csv, fh) == want
+        assert _outcome(read_prediction_csv, io.StringIO(marked.read_text(encoding="utf-8"))) == want
+
     def test_bad_header(self):
         with pytest.raises(BadParameter):
             read_prediction_csv(io.StringIO("label,f1\n0,1\n1,0\n"))

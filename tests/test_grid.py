@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votephase.analytic import Phase, delta_asymptotic, estimated_error_asymptotic
+from votephase.analytic import Phase, estimated_error_asymptotic
 from votephase.cli import main
-from votephase.grid import max_improvement, point, sweep
+from votephase.grid import point, sweep
 from votephase.model import (
     ASYMPTOTIC,
     Equicorrelated,
@@ -18,6 +18,7 @@ from votephase.model import (
     Prior,
     RatePair,
 )
+from reference import delta_asymptotic, max_improvement
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 models = st.one_of(

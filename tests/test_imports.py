@@ -1,13 +1,19 @@
-"""Every module imports only names it reads, and no private name is dead.
+"""Every module imports only names it reads, and no name is dead.
 
 ``votephase/__init__.py`` is left out of the import scan: it imports
 names to re-export them. ``from __future__`` imports change the
 compiler, not the namespace, and are left out too. The ``__all__`` of
 ``__init__.py`` must list exactly the names it imports.
+
+A private module-level name must be read by some module. A public one
+in ``src/votephase`` must be read by some module there or be named in
+README.md, and every function or constant the package exports must be
+named in README.md: helpers only the tests use live in ``tests/``.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +24,7 @@ import votephase
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "votephase").glob("*.py"))
+README = (ROOT / "README.md").read_text()
 MODULES = sorted(
     path for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if path.name != "__init__.py"
 )
@@ -48,12 +55,12 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports(source) == [(2, "os"), (3, "a")]
 
 
-def _dead_private_names(sources: dict) -> list:
-    """(module, name) for each module-level ``_name`` no module reads.
+def _module_names(sources: dict) -> tuple:
+    """(defined, read) over ``sources``, a dict of module -> source.
 
-    A module-level function, class or assignment target whose name
-    starts with one underscore is private. It is read where a name
-    loads it or an attribute access names it, in any of ``sources``.
+    ``defined`` lists (module, name) for each module-level function,
+    class or assignment target. ``read`` holds every name that a name
+    load or an attribute access reads, in any module.
     """
     defined, read = [], set()
     for module, source in sources.items():
@@ -66,13 +73,41 @@ def _dead_private_names(sources: dict) -> list:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            defined += [(module, name) for name in names if name.startswith("_")]
+            defined += [(module, name) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(item for item in defined if item[1] not in read and not item[1].startswith("__"))
+    return defined, read
+
+
+def _dead_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_name`` no module reads.
+
+    A name that starts with one underscore is private.
+    """
+    defined, read = _module_names(sources)
+    return sorted(
+        (module, name)
+        for module, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def _named_in(text: str, name: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
+def _unread_public_names(sources: dict, readme: str) -> list:
+    """(module, name) for each public module-level name that no module
+    reads and ``readme`` does not name."""
+    defined, read = _module_names(sources)
+    return sorted(
+        (module, name)
+        for module, name in defined
+        if not name.startswith("_") and name not in read and not _named_in(readme, name)
+    )
 
 
 def test_no_dead_private_code():
@@ -85,6 +120,24 @@ def test_scan_finds_dead_private_code():
         "b": "from a import _f\n_f()\n__all__ = []\n",
     }
     assert _dead_private_names(sources) == [("a", "_C"), ("a", "_dead")]
+
+
+def test_every_public_name_is_read_or_documented():
+    sources = {path.stem: path.read_text() for path in PACKAGE if path.name != "__init__.py"}
+    assert _unread_public_names(sources, README) == []
+
+
+def test_scan_finds_an_unread_public_name():
+    sources = {
+        "a": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\nX = 1\n",
+        "b": "import a\na.f()\n",
+    }
+    assert _unread_public_names(sources, "Call `h`.") == [("a", "X")]
+
+
+def test_every_exported_function_and_constant_is_named_in_readme():
+    exported = [name for name in votephase.__all__ if not isinstance(getattr(votephase, name), type)]
+    assert [name for name in exported if not _named_in(README, name)] == []
 
 
 def test_all_lists_exactly_the_imported_names():

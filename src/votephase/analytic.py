@@ -31,6 +31,8 @@ variance term into the normal formula anyway gives an n-free value
     + (1 - Phi((1/2 - q) / sqrt(lam q (1 - q)))) * (1 - pi),
 
 identical to the independent-model estimate at effective size 1/lam.
+It is the same two-class formula as ErrHat(n), with gap 1/2 - r in
+place of n/2 - n r and variance lam r (1 - r) in place of s_r**2.
 This abuse of the normal limit is still exposed because it is the
 number the plug-in formula actually produces; callers can detect it
 via ``uses_abusive_variance``.
@@ -47,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import (
     BadParameter,
@@ -149,25 +152,25 @@ def uses_abusive_variance(model: CorrelationModel) -> bool:
     return isinstance(model, Equicorrelated)
 
 
-def _class_tail(n: int, rate: float, model: CorrelationModel, upper: bool) -> float:
-    """Normal estimate of P(g <= n/2) or, mirrored, of P(g > n/2).
+def _normal_estimate(n: int, rates: RatePair, prior: Prior, variance: Callable) -> float:
+    """Phi((n/2 - n p)/s_p) pi + Phi((n q - n/2)/s_q) (1 - pi), s_r**2 = variance(r).
 
-    The upper tail is evaluated as Phi((n r - n/2)/s) rather than
+    The false-alarm tail is evaluated as Phi((n r - n/2)/s) rather than
     1 - Phi((n/2 - n r)/s); the two are equal exactly, but the
     subtraction would cancel away the tail's relative precision
     whenever it is small.
     """
-    s = math.sqrt(sum_variance(model, n, rate))
-    half_gap = n / 2.0 - n * rate
-    return std_normal_cdf((-half_gap if upper else half_gap) / s)
+
+    def z(rate: float) -> float:
+        return (n / 2.0 - n * rate) / math.sqrt(variance(rate))
+
+    return std_normal_cdf(z(rates.p)) * prior.pi + std_normal_cdf(-z(rates.q)) * (1.0 - prior.pi)
 
 
 def estimated_error(cfg: EnsembleConfig) -> float:
     """Normal-approximation estimate of the majority error at finite n."""
-    pi = cfg.prior.pi
-    miss = _class_tail(cfg.n, cfg.rates.p, cfg.model, upper=False)
-    false_alarm = _class_tail(cfg.n, cfg.rates.q, cfg.model, upper=True)
-    return miss * pi + false_alarm * (1.0 - pi)
+    n, model = cfg.n, cfg.model
+    return _normal_estimate(n, cfg.rates, cfg.prior, lambda r: sum_variance(model, n, r))
 
 
 def estimated_error_asymptotic(
@@ -178,7 +181,8 @@ def estimated_error_asymptotic(
     For finite per-vote variance this is the step-function limit
     ``limiting_error``. For the equicorrelated model the n's cancel
     inside the Phi arguments and the plug-in value is n-free:
-    equivalent to an independent ensemble of effective size 1/lam.
+    the estimate at n = 1 with variance lam r (1 - r), equivalent to an
+    independent ensemble of effective size 1/lam.
 
     lam r (1 - r) underflows to 0 only where the true Phi argument
     exceeds 1e145 in size, or is 0 at r = 1/2. Flooring it at the
@@ -187,13 +191,7 @@ def estimated_error_asymptotic(
     """
     if isinstance(model, Equicorrelated):
         lam = model.lam
-        pi = prior.pi
-        p, q = rates.p, rates.q
-        tiny = math.ulp(0.0)
-        miss = std_normal_cdf((0.5 - p) / math.sqrt(max(lam * p * (1.0 - p), tiny)))
-        # upper tail mirrored to avoid 1 - Phi cancellation
-        false_alarm = std_normal_cdf((q - 0.5) / math.sqrt(max(lam * q * (1.0 - q), tiny)))
-        return miss * pi + false_alarm * (1.0 - pi)
+        return _normal_estimate(1, rates, prior, lambda r: max(lam * r * (1.0 - r), math.ulp(0.0)))
     return limiting_error(rates, prior)
 
 

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from operator import itemgetter
 from typing import Union
 
@@ -38,7 +39,7 @@ from .model import (
 )
 from .sampler import RngSeed
 
-GRID_CSV_HEADER = "p,q,err,err_hat,delta_n,delta_inf,phase,abusive"
+GRID_CSV_HEADER = ",".join(f.name for f in fields(grid.GridRow))
 
 # The config keys each spec takes besides "model"; each has a flag.
 _ENSEMBLE_KEYS = ("n", "p", "q", "pi")
@@ -205,8 +206,8 @@ def _oracle(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
     payload: dict = {"config": cfg.to_dict(), "err_exact": err}
     if not args.pmf:
         return payload, [["err_exact"], [err]]
-    payload["pmf_class1"] = [float(v) for v in pmf_p.mass]
-    payload["pmf_class0"] = [float(v) for v in pmf_q.mass]
+    payload["pmf_class1"] = pmf_p.mass.tolist()
+    payload["pmf_class0"] = pmf_q.mass.tolist()
     masses = zip(payload["pmf_class1"], payload["pmf_class0"])
     table = [["k", "mass_class1", "mass_class0"], *([k, *m] for k, m in enumerate(masses))]
     return payload, [*table, ["err_exact", err, ""]]
@@ -355,7 +356,3 @@ def main(argv: Union[list, None] = None) -> int:
     except OSError as exc:
         print(f"votephase: i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import math
 import os
 import warnings
@@ -334,33 +335,37 @@ def _parse_canonical(data: bytes) -> Union[PredictionMatrix, None]:
     if header[0] != "y" or len(header) < 2 or not body or len(body) % row:
         return None
     text = np.frombuffer(body, dtype=np.uint8).reshape(-1, row)
-    cells = text[:, 0::2] - ord("0")
+    digits = text[:, 0::2]
     if (
-        (cells > 1).any()
+        (digits - ord("0") > 1).any()
         or (text[:, 1:-1:2] != ord(",")).any()
         or (text[:, -1] != ord("\n")).any()
     ):
         return None
+    return _digit_matrix(digits)
+
+
+def _digit_matrix(digits: np.ndarray) -> PredictionMatrix:
+    """The matrix of an (N, 1 + m) array of ASCII 0/1 digits, label first."""
+    cells = digits - ord("0")
     return PredictionMatrix(labels=cells[:, 0], votes=cells[:, 1:])
 
 
 def _parse_csv(fh) -> PredictionMatrix:
-    reader = csv.reader(fh)
+    # a text stream may still start with the UTF-8 byte-order mark
+    first = next(fh, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain([first] if first else [], fh))
     try:
         header = next(reader)
     except StopIteration:
         raise BadParameter("empty CSV: expected header y,f1,...,fm") from None
-    if header:
-        # a text stream may still start with the UTF-8 byte-order mark
-        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     if not header or header[0] != "y" or len(header) < 2:
         raise BadParameter(
             f"CSV header must be y,f1,...,fm with m >= 1, got {header!r}"
         )
     width = len(header)
-    labels = []
-    votes = []
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -368,19 +373,17 @@ def _parse_csv(fh) -> PredictionMatrix:
             raise BadParameter(
                 f"line {lineno}: expected {width} fields, got {len(row)}"
             )
-        values = []
-        for col, cell in zip(header, row):
-            cell = cell.strip()
+        cells = [cell.strip() for cell in row]
+        for col, cell in zip(header, cells):
             if cell not in ("0", "1"):
                 raise NonBinaryEntry(
                     f"line {lineno}, column {col!r}: entry {cell!r} is not 0 or 1"
                 )
-            values.append(int(cell))
-        labels.append(values[0])
-        votes.append(values[1:])
-    if not labels:
+        rows.append("".join(cells))
+    if not rows:
         raise BadSize("CSV contains a header but no data rows")
-    return PredictionMatrix(labels=np.array(labels), votes=np.array(votes))
+    digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return _digit_matrix(digits.reshape(-1, width))
 
 
 def format_report(report: DiagnosisReport) -> str:

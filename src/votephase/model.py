@@ -239,6 +239,7 @@ class EnsembleConfig:
         _check_type(self.rates, RatePair, "rates")
         _check_type(self.prior, Prior, "prior")
         _check_type(self.model, CorrelationModel, "model")
+        model_class(self.model.kind)
 
     def to_dict(self) -> dict:
         return {
@@ -322,6 +323,7 @@ class GridSpec:
             object.__setattr__(self, "n", _as_ensemble_size(self.n))
         _check_type(self.prior, Prior, "prior")
         _check_type(self.model, CorrelationModel, "model")
+        model_class(self.model.kind)
 
     @staticmethod
     def _check_axis(name: str, lo: float, hi: float, res: int) -> None:

@@ -130,6 +130,23 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
             yield from pool.map(chunk, range(len(sizes)))
 
 
+def _majority_error(cfg: EnsembleConfig, reps: int, seed: RngSeed, classes: Callable) -> McEstimate:
+    """Share of replications the strict-majority vote gets wrong.
+
+    ``classes(rng, m)`` returns a chunk's classes (True for class 1)
+    and their vote rates, each an array of m or one value for all m.
+    """
+    reps = _as_size(reps, "reps", minimum=100)
+    n = _ensemble_size(cfg.n)
+
+    def count(rng: np.random.Generator, m: int) -> int:
+        labels, rates = classes(rng, m)
+        votes = sample_matrix(cfg.model, n, rates, m, rng)
+        return int(((2 * votes.sum(axis=1, dtype=np.int64) > n) != labels).sum())
+
+    return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
+
+
 def mc_error(cfg: EnsembleConfig, reps: int, seed: RngSeed) -> McEstimate:
     """Monte Carlo estimate of the majority-vote error rate.
 
@@ -137,18 +154,13 @@ def mc_error(cfg: EnsembleConfig, reps: int, seed: RngSeed) -> McEstimate:
     the model at that class's rate, and scores the strict-majority
     prediction against the class.
     """
-    reps = _as_size(reps, "reps", minimum=100)
-    n, pi = _ensemble_size(cfg.n), cfg.prior.pi
-    p, q = cfg.rates.p, cfg.rates.q
+    pi, p, q = cfg.prior.pi, cfg.rates.p, cfg.rates.q
 
-    def count(rng: np.random.Generator, m: int) -> int:
+    def classes(rng: np.random.Generator, m: int) -> tuple:
         labels = rng.random(m) < pi
-        rates = np.where(labels, p, q)
-        votes = sample_matrix(cfg.model, n, rates, m, rng)
-        predicted = 2 * votes.sum(axis=1, dtype=np.int64) > n
-        return int((predicted != labels).sum())
+        return labels, np.where(labels, p, q)
 
-    return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
+    return _majority_error(cfg, reps, seed, classes)
 
 
 def mc_conditional_error(
@@ -161,16 +173,7 @@ def mc_conditional_error(
     the normal approximation models with its two Phi expressions.
     """
     rate = cfg.rates.rate_for_class(label)
-    reps = _as_size(reps, "reps", minimum=100)
-    n = _ensemble_size(cfg.n)
-
-    def count(rng: np.random.Generator, m: int) -> int:
-        votes = sample_matrix(cfg.model, n, rate, m, rng)
-        majority_one = 2 * votes.sum(axis=1, dtype=np.int64) > n
-        wrong = ~majority_one if label == 1 else majority_one
-        return int(wrong.sum())
-
-    return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
+    return _majority_error(cfg, reps, seed, lambda rng, m: (label == 1, rate))
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,10 @@ class VotePmf:
             raise BadParameter(
                 f"mass must have shape ({n + 1},), got {mass.shape}"
             )
-        if np.any(mass < -_PMF_SUM_TOL):
+        if not np.all(mass >= -_PMF_SUM_TOL):
             raise BadParameter("mass entries must be nonnegative")
         total = float(mass.sum())
-        if abs(total - 1.0) > _PMF_SUM_TOL:
+        if not abs(total - 1.0) <= _PMF_SUM_TOL:
             raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
         mass = np.clip(mass, 0.0, None)
         # Subnormals have lost most or all of their precision; report 0.

@@ -236,6 +236,17 @@ class TestReadPredictionCsv:
         with open(marked, encoding="utf-8", newline="") as fh:
             assert _outcome(read_prediction_csv, fh) == want
         assert _outcome(read_prediction_csv, io.StringIO(marked.read_text(encoding="utf-8"))) == want
+        # the mark goes before the csv module splits the header, so a
+        # quoted first name parses, and a mark alone is an empty file
+        for text, outcome in [
+            ('\ufeff"y",f1\n0,1\n1,0\n', want),
+            ("\ufeff", (BadParameter, "empty CSV: expected header y,f1,...,fm")),
+        ]:
+            marked.write_text(text, encoding="utf-8")
+            assert _outcome(read_prediction_csv, marked) == outcome
+            with open(marked, encoding="utf-8", newline="") as fh:
+                assert _outcome(read_prediction_csv, fh) == outcome
+            assert _outcome(read_prediction_csv, io.StringIO(text)) == outcome
 
     def test_bad_header(self):
         with pytest.raises(BadParameter):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votephase.analytic import asymptotic_sigma_sq, sum_variance
 from votephase.model import (
     ASYMPTOTIC,
     BadParameter,
     BadSize,
+    CorrelationModel,
     EnsembleConfig,
     Equicorrelated,
     GRID_CELL_GUARD,
@@ -21,6 +23,8 @@ from votephase.model import (
     RatePair,
     model_from_dict,
 )
+from votephase.oracle import exact_vote_pmf
+from votephase.sampler import RngSeed, make_rng, sample_matrix
 
 
 class TestRatePair:
@@ -137,6 +141,20 @@ class TestCorrelationModels:
         assert (t11[1], t01[1]) == model.transitions(0.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: sum_variance(model, 5, 0.6),
+        lambda model: asymptotic_sigma_sq(model, 0.6),
+        lambda model: exact_vote_pmf(model, 5, 0.6),
+        lambda model: sample_matrix(model, 5, 0.6, 10, make_rng(RngSeed(seed=1), 0)),
+    ],
+    ids=["sum_variance", "asymptotic_sigma_sq", "exact_vote_pmf", "sample_matrix"],
+)
+def test_model_dispatch_rejects_a_non_model(call):
+    with pytest.raises(BadParameter, match="unknown correlation model 'geometric'"):
+        call("geometric")
+
 class TestEnsembleConfig:
     def _cfg(self, **kw):
         base = dict(n=5, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5))
@@ -173,6 +191,7 @@ class TestEnsembleConfig:
             ("rates", (0.7, 0.3), "rates must be a RatePair, got (0.7, 0.3)"),
             ("prior", 0.5, "prior must be a Prior, got 0.5"),
             ("model", "geometric", "model must be a CorrelationModel, got 'geometric'"),
+            ("model", CorrelationModel(), "unknown correlation model kind ''"),
         ],
     )
     def test_wrong_type_messages(self, field, value, message):
@@ -270,6 +289,7 @@ class TestGridSpec:
         [
             ("prior", 0.5, "prior must be a Prior, got 0.5"),
             ("model", None, "model must be a CorrelationModel, got None"),
+            ("model", CorrelationModel(), "unknown correlation model kind ''"),
         ],
     )
     def test_wrong_type_messages(self, field, value, message):

@@ -88,6 +88,9 @@ class TestVotePmf:
             VotePmf(n=1, mass=np.array([0.9, 0.2]))
         with pytest.raises(BadParameter):
             VotePmf(n=1, mass=np.array([1.2, -0.2]))
+        for mass in ([math.nan, math.nan], [math.nan, 1.0]):
+            with pytest.raises(BadParameter):
+                VotePmf(n=1, mass=np.array(mass))
 
     def test_subnormal_mass_reported_as_zero(self):
         pmf = VotePmf(n=2, mass=np.array([0.5, 5e-324, 0.5]))

@@ -189,10 +189,12 @@ def estimated_error_asymptotic(
     smallest positive double gives exactly Phi(+-inf) or Phi(0) there,
     and leaves every positive variance as it is.
     """
+    if isinstance(model, (Independent, Geometric)):
+        return limiting_error(rates, prior)
     if isinstance(model, Equicorrelated):
         lam = model.lam
         return _normal_estimate(1, rates, prior, lambda r: max(lam * r * (1.0 - r), math.ulp(0.0)))
-    return limiting_error(rates, prior)
+    raise BadParameter(f"unknown correlation model {model!r}")
 
 
 class Side(enum.Enum):

@@ -9,8 +9,11 @@ round-trip representation); CSV output rounds to 9 significant digits.
 
 Every subcommand but diagnose takes --config, a JSON object with the
 keys that --dump-config prints; a flag of the same name overrides the
-file, and any other key is an error. --step, --pmf, --reps, --seed,
---stream and --conditional are flags only.
+file, and any other key is an error. Each spec's flags are exactly its
+config keys: one table per spec lists them, and a key ``p_min`` is the
+flag --p-min (the model's kind and parameter are --model and
+--<param>). --step, --pmf, --reps, --seed, --stream and --conditional
+are flags only.
 Exit status: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -41,9 +44,35 @@ from .sampler import RngSeed
 
 GRID_CSV_HEADER = ",".join(f.name for f in fields(grid.GridRow))
 
-# The config keys each spec takes besides "model"; each has a flag.
-_ENSEMBLE_KEYS = ("n", "p", "q", "pi")
-_GRID_KEYS = ("p_min", "p_max", "q_min", "q_max", "resolution", "n", "pi")
+
+def _grid_size(text: str):
+    if text == ASYMPTOTIC:
+        return ASYMPTOTIC
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'n must be a positive integer or "{ASYMPTOTIC}", got {text!r}'
+        ) from None
+
+
+# Each spec's config keys besides "model", as key -> (flag type, help);
+# _add_spec_flags gives every key the flag --<key>.
+_ENSEMBLE_FLAGS = {
+    "n": (int, "ensemble size"),
+    "p": (float, "average true positive rate"),
+    "q": (float, "average false positive rate"),
+    "pi": (float, "class-1 prior"),
+}
+_GRID_FLAGS = {
+    "p_min": (float, "lowest p on the grid"),
+    "p_max": (float, "highest p on the grid"),
+    "q_min": (float, "lowest q on the grid"),
+    "q_max": (float, "highest q on the grid"),
+    "resolution": (int, "points per axis"),
+    "n": (_grid_size, 'ensemble size or "asymptotic"'),
+    "pi": (float, "class-1 prior"),
+}
 _GRID_DEFAULTS = {"p_min": 0.01, "p_max": 0.99, "q_min": 0.01, "q_max": 0.99, "n": ASYMPTOTIC}
 
 
@@ -61,26 +90,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"votephase: error: {message}\n")
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+def _add_spec_flags(sub: argparse.ArgumentParser, table: dict) -> None:
+    """--config, a flag --<key> per config key of ``table`` (``_`` spelled
+    ``-``), the model flags and --dump-config."""
+    sub.add_argument("--config", help="JSON config file; flags override its values")
+    for key, (kind, text) in table.items():
+        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind, help=text)
     sub.add_argument("--model", choices=list(MODELS), help="correlation model")
     for cls in MODELS.values():
         if cls.param is not None:
             sub.add_argument(
                 f"--{cls.param}", type=float, help=f"{cls.param_help} ({cls.kind} model)"
             )
-
-
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--n", type=int, help="ensemble size")
-    sub.add_argument("--p", type=float, help="average true positive rate")
-    sub.add_argument("--q", type=float, help="average false positive rate")
-    sub.add_argument("--pi", type=float, help="class-1 prior")
-    _add_model_flags(sub)
     sub.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="print the effective JSON config and exit",
+        "--dump-config", action="store_true", help="print the effective JSON config and exit"
     )
 
 
@@ -120,8 +143,8 @@ def _model_dict(args: argparse.Namespace, file_model: Union[dict, None]) -> dict
     return base
 
 
-def _merged(args: argparse.Namespace, keys: tuple) -> dict:
-    """The --config object with the flags named ``keys`` laid over it.
+def _merged(args: argparse.Namespace, keys: dict) -> dict:
+    """The --config object with the flags of the config ``keys`` laid over it.
 
     A file key other than ``keys`` and "model" is an error. The model
     is merged by ``_model_dict``.
@@ -148,15 +171,15 @@ def _merged(args: argparse.Namespace, keys: tuple) -> dict:
 
 
 def _ensemble(args: argparse.Namespace) -> EnsembleConfig:
-    merged = _merged(args, _ENSEMBLE_KEYS)
-    missing = [k for k in _ENSEMBLE_KEYS if k not in merged]
+    merged = _merged(args, _ENSEMBLE_FLAGS)
+    missing = [k for k in _ENSEMBLE_FLAGS if k not in merged]
     if missing:
         raise BadParameter(f"missing required parameters: {', '.join(missing)}")
     return EnsembleConfig.from_dict(merged)
 
 
 def _grid(args: argparse.Namespace) -> GridSpec:
-    merged = {**_GRID_DEFAULTS, **_merged(args, _GRID_KEYS)}
+    merged = {**_GRID_DEFAULTS, **_merged(args, _GRID_FLAGS)}
     if "pi" not in merged:
         raise BadParameter("missing required parameter: pi")
     if args.step is None:
@@ -165,12 +188,9 @@ def _grid(args: argparse.Namespace) -> GridSpec:
         return GridSpec.from_dict(merged)
     if args.resolution is not None:
         raise BadParameter("--step and --resolution are mutually exclusive")
-    return GridSpec.from_step(
-        **{key: merged[key] for key in ("p_min", "p_max", "q_min", "q_max", "n")},
-        step=args.step,
-        prior=Prior(pi=merged["pi"]),
-        model=model_from_dict(merged["model"]),
-    )
+    kwargs = {key: merged[key] for key in ("p_min", "p_max", "q_min", "q_max", "n")}
+    prior, model = Prior(pi=merged["pi"]), model_from_dict(merged["model"])
+    return GridSpec.from_step(**kwargs, step=args.step, prior=prior, model=model)
 
 
 def _row_fields(row: grid.GridRow) -> dict:
@@ -277,18 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_analytic = sub.add_parser(
         "analytic", help="closed-form err, estimated error, and phase verdict"
     )
-    _add_config_flags(p_analytic)
+    _add_spec_flags(p_analytic, _ENSEMBLE_FLAGS)
     _add_output_flags(p_analytic, ["json", "csv"], _ensemble, _analytic)
 
     p_oracle = sub.add_parser("oracle", help="exact finite-n error and vote pmf")
-    _add_config_flags(p_oracle)
+    _add_spec_flags(p_oracle, _ENSEMBLE_FLAGS)
     p_oracle.add_argument(
         "--pmf", action="store_true", help="include the full vote-sum pmf per class"
     )
     _add_output_flags(p_oracle, ["json", "csv"], _ensemble, _oracle)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo error estimate")
-    _add_config_flags(p_sim)
+    _add_spec_flags(p_sim, _ENSEMBLE_FLAGS)
     p_sim.add_argument("--reps", type=int, default=100_000, help="replications")
     p_sim.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
     p_sim.add_argument("--stream", type=int, default=0, help="substream index")
@@ -301,21 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_sim, ["json", "csv"], _ensemble, _simulate)
 
     p_grid = sub.add_parser("phase-grid", help="sweep the (p,q) square to CSV/JSON")
-    p_grid.add_argument("--config", help="JSON grid spec; flags override its values")
-    p_grid.add_argument("--p-min", dest="p_min", type=float)
-    p_grid.add_argument("--p-max", dest="p_max", type=float)
-    p_grid.add_argument("--q-min", dest="q_min", type=float)
-    p_grid.add_argument("--q-max", dest="q_max", type=float)
-    p_grid.add_argument("--pi", type=float, help="class-1 prior")
-    p_grid.add_argument(
-        "--n", type=_grid_size, help='ensemble size or "asymptotic"', default=None
-    )
+    _add_spec_flags(p_grid, _GRID_FLAGS)
     p_grid.add_argument("--step", type=float, help="axis step (decimal-exact)")
-    p_grid.add_argument("--resolution", type=int, help="points per axis")
-    _add_model_flags(p_grid)
-    p_grid.add_argument(
-        "--dump-config", action="store_true", help="print the effective spec and exit"
-    )
     _add_output_flags(p_grid, ["csv", "json"], _grid, _phase_grid)
 
     p_diag = sub.add_parser("diagnose", help="analyze a real prediction matrix CSV")
@@ -329,17 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_diag, ["text", "json"], lambda args: None, _diagnose)
 
     return parser
-
-
-def _grid_size(text: str):
-    if text == ASYMPTOTIC:
-        return ASYMPTOTIC
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f'n must be a positive integer or "{ASYMPTOTIC}", got {text!r}'
-        ) from None
 
 
 def main(argv: Union[list, None] = None) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import itertools
 import math
 import os
 import warnings
@@ -297,21 +296,26 @@ def read_prediction_csv(
 ) -> PredictionMatrix:
     """Parse the ``y,f1,...,fm`` CSV schema into a PredictionMatrix.
 
-    A path (str, bytes or os.PathLike) is read once. A leading UTF-8
-    byte-order mark is dropped, from a path or a text stream. A
-    canonical file is parsed in one numpy pass: an ASCII header line
-    without quotes or carriage returns, then rows of one-byte 0/1 cells
-    joined by ``,``, each row ending in a newline. Any other file, and
-    any text stream, is parsed line by line as UTF-8 text; both ways
-    give the same matrix, and every error comes from the line-by-line
-    way. Bytes that do not decode, and rows the csv module cannot split
-    (such as a cell over its field size limit), raise BadParameter.
+    Every source becomes bytes once: a path (str, bytes or os.PathLike)
+    gives the file's bytes, and a text stream is read whole and its text
+    encoded as UTF-8, so a stream is parsed exactly like a file of that
+    text, bulk path and errors included. A leading UTF-8 byte-order mark
+    is dropped. A canonical file is parsed in one numpy pass: an ASCII
+    header line without quotes or carriage returns, then rows of
+    one-byte 0/1 cells joined by ``,``, each row ending in a newline.
+    Any other file is parsed line by line as UTF-8 text; both ways give
+    the same matrix, and every error comes from the line-by-line way.
+    Bytes that are not UTF-8 (from a text stream, a lone surrogate),
+    and rows the csv module cannot split (such as a cell over its field
+    size limit), raise BadParameter.
     """
     try:
-        if not isinstance(source, (str, bytes, os.PathLike)):
-            return _parse_csv(source)
-        with open(source, "rb") as fh:
-            data = fh.read().removeprefix(codecs.BOM_UTF8)
+        if isinstance(source, (str, bytes, os.PathLike)):
+            with open(source, "rb") as fh:
+                data = fh.read()
+        else:
+            data = source.read().encode("utf-8", "surrogatepass")
+        data = data.removeprefix(codecs.BOM_UTF8)
         matrix = _parse_canonical(data)
         if matrix is None:
             # decoded lazily, as a file opened in text mode is, so a
@@ -352,9 +356,7 @@ def _digit_matrix(digits: np.ndarray) -> PredictionMatrix:
 
 
 def _parse_csv(fh) -> PredictionMatrix:
-    # a text stream may still start with the UTF-8 byte-order mark
-    first = next(fh, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain([first] if first else [], fh))
+    reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
@@ -366,18 +368,19 @@ def _parse_csv(fh) -> PredictionMatrix:
         )
     width = len(header)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    # line_num is the physical line a row ends on, past quoted newlines
+    for row in reader:
         if not row:
             continue
         if len(row) != width:
             raise BadParameter(
-                f"line {lineno}: expected {width} fields, got {len(row)}"
+                f"line {reader.line_num}: expected {width} fields, got {len(row)}"
             )
         cells = [cell.strip() for cell in row]
         for col, cell in zip(header, cells):
             if cell not in ("0", "1"):
                 raise NonBinaryEntry(
-                    f"line {lineno}, column {col!r}: entry {cell!r} is not 0 or 1"
+                    f"line {reader.line_num}, column {col!r}: entry {cell!r} is not 0 or 1"
                 )
         rows.append("".join(cells))
     if not rows:

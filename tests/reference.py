@@ -98,3 +98,12 @@ def sample_matrix_reference(model, n: int, rate, count: int, rng: np.random.Gene
         independent = (rng.random((count, n)) < rates[:, None]).astype(np.uint8)
         return np.where(shared_branch[:, None], shared_vote[:, None], independent)
     raise BadParameter(f"unknown correlation model {model!r}")
+
+
+def parse_outcome(parse, source) -> tuple:
+    """What a CSV parser makes of ``source``: the matrix, or the error."""
+    try:
+        matrix = parse(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.labels.tolist(), matrix.votes.tolist()

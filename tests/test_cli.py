@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from votephase import analytic, montecarlo, oracle
 from votephase.cli import GRID_CSV_HEADER, main
+from votephase.diagnose import read_prediction_csv
 from votephase.model import (
     GRID_CELL_GUARD,
     EnsembleConfig,
@@ -23,7 +24,21 @@ from votephase.model import (
 )
 from votephase.sampler import RngSeed
 
+from reference import parse_outcome
+
 BASE = ["--n", "15", "--p", "0.7", "--q", "0.3", "--pi", "0.5"]
+# a valid value for each config key, other than BASE's and phase-grid's defaults
+_OTHER_VALUES = {
+    "n": 21,
+    "p": 0.8,
+    "q": 0.2,
+    "pi": 0.4,
+    "p_min": 0.2,
+    "p_max": 0.8,
+    "q_min": 0.1,
+    "q_max": 0.6,
+    "resolution": 5,
+}
 
 
 def _run(capsys, argv):
@@ -303,6 +318,30 @@ class TestConfigMerging:
         assert code == 1 and out == ""
         assert err.startswith("votephase: error: ") and err.count("\n") == 1
         assert "unknown config keys" in err and all(repr(key) in err for key in extra)
+
+    @pytest.mark.parametrize(
+        "subcommand, spec_flags, run_flags",
+        [
+            ("analytic", BASE, []),
+            ("oracle", BASE, []),
+            ("simulate", BASE, ["--seed", "1"]),
+            ("phase-grid", ["--pi", "0.5", "--resolution", "3"], []),
+        ],
+    )
+    def test_every_config_key_is_a_flag(self, capsys, tmp_path, subcommand, spec_flags, run_flags):
+        code, dumped, _ = _run(capsys, [subcommand, *spec_flags, *run_flags, "--dump-config"])
+        assert code == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(dumped)
+        config = json.loads(dumped)
+        for key in sorted(set(config) - {"model"}):
+            value = _OTHER_VALUES[key]
+            assert config[key] != value
+            flag = f"--{key.replace('_', '-')}"
+            argv = [subcommand, "--config", str(path), flag, str(value), *run_flags]
+            code, out, err = _run(capsys, [*argv, "--dump-config"])
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out) == {**config, key: value}, argv
 
     @pytest.mark.parametrize(
         "subcommand, spec_flags, run_flags",
@@ -816,6 +855,16 @@ class TestDiagnoseCsvFuzz:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = _run_quiet(argv + ["--ordered"] * ordered)
+            # a path, an open text file and a string stream read alike
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+            else:
+                with open(path, encoding="utf-8", newline="") as fh:
+                    sources = (path, fh, io.StringIO(text))
+                    outcomes = [parse_outcome(read_prediction_csv, src) for src in sources]
+                assert outcomes[0] == outcomes[1] == outcomes[2], (data, outcomes)
         if code == 0:
             assert err == "", (data, err)
             json.loads(out, parse_constant=_reject_constant)

@@ -32,7 +32,7 @@ from votephase.model import (
 from votephase.oracle import exact_error
 from votephase.sampler import RngSeed, make_rng
 
-from reference import sample_labeled_votes
+from reference import parse_outcome as _outcome, sample_labeled_votes
 
 
 def _synthetic(p, q, pi=0.5, n_samples=10_000, m=25, model=None, seed=1):
@@ -225,6 +225,9 @@ class TestReadPredictionCsv:
     def test_accepts_file_objects(self):
         matrix = read_prediction_csv(io.StringIO("y,f1\n0,1\n1,0\n"))
         assert matrix.n_samples == 2
+        # a stream's text is read as UTF-8 bytes, where a lone surrogate is invalid
+        with pytest.raises(BadParameter, match="^CSV is not UTF-8 text: "):
+            read_prediction_csv(io.StringIO("y,f1\n0,\ud800\n1,0\n"))
 
     def test_byte_order_mark_dropped_from_text_streams(self, tmp_path):
         plain = tmp_path / "plain.csv"
@@ -263,6 +266,9 @@ class TestReadPredictionCsv:
     def test_non_binary_entry_reports_location(self):
         with pytest.raises(NonBinaryEntry, match="line 3"):
             read_prediction_csv(io.StringIO("y,f1\n0,1\n1,7\n"))
+        # the physical line, past a quoted newline in the header
+        with pytest.raises(NonBinaryEntry, match="line 4,"):
+            read_prediction_csv(io.StringIO('y,"f\n1"\n0,1\n1,7\n'))
 
     def test_bad_row_reported_before_bad_bytes_further_down(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -273,19 +279,12 @@ class TestReadPredictionCsv:
     def test_ragged_row_rejected(self):
         with pytest.raises(BadParameter, match="line 2"):
             read_prediction_csv(io.StringIO("y,f1,f2\n0,1\n"))
+        with pytest.raises(BadParameter, match="^line 4: expected 2 fields, got 1$"):
+            read_prediction_csv(io.StringIO('y,"f\n1"\n0,1\n1\n'))
 
     def test_cell_over_csv_field_limit_rejected(self):
         with pytest.raises(BadParameter, match="malformed CSV: field larger"):
             read_prediction_csv(io.StringIO("y,f1\n1," + "1" * 200_000 + "\n0,0\n"))
-
-
-def _outcome(parse, source) -> tuple:
-    """What a parser makes of ``source``: the matrix, or the error."""
-    try:
-        matrix = parse(source)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return matrix.labels.tolist(), matrix.votes.tolist()
 
 
 @st.composite

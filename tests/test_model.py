@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votephase.analytic import asymptotic_sigma_sq, sum_variance
+from votephase.analytic import asymptotic_sigma_sq, estimated_error_asymptotic, sum_variance
+from votephase.grid import point
 from votephase.model import (
     ASYMPTOTIC,
     BadParameter,
@@ -148,8 +149,17 @@ class TestCorrelationModels:
         lambda model: asymptotic_sigma_sq(model, 0.6),
         lambda model: exact_vote_pmf(model, 5, 0.6),
         lambda model: sample_matrix(model, 5, 0.6, 10, make_rng(RngSeed(seed=1), 0)),
+        lambda model: estimated_error_asymptotic(RatePair(0.6, 0.4), Prior(0.5), model),
+        lambda model: point(RatePair(0.6, 0.4), Prior(0.5), model, ASYMPTOTIC),
     ],
-    ids=["sum_variance", "asymptotic_sigma_sq", "exact_vote_pmf", "sample_matrix"],
+    ids=[
+        "sum_variance",
+        "asymptotic_sigma_sq",
+        "exact_vote_pmf",
+        "sample_matrix",
+        "estimated_error_asymptotic",
+        "grid_point_asymptotic",
+    ],
 )
 def test_model_dispatch_rejects_a_non_model(call):
     with pytest.raises(BadParameter, match="unknown correlation model 'geometric'"):

@@ -57,6 +57,65 @@ def geometric_variance_factor_direct(gamma: float, n: int) -> float:
     return total
 
 
+def markov_sum_pmf_dp(n: int, rate: float, model: Geometric) -> np.ndarray:
+    """DP for the sum of a stationary two-state Markov chain.
+
+    An independent reference for the transfer-matrix product in
+    ``votephase.oracle``: the two share only the transition formulas.
+
+    States track (running sum, last vote). Transitions are
+    ``Geometric.transitions``, which keep the marginal at r and give
+    lag-k correlation exactly gamma**k.
+
+    The DP works in place on preallocated buffers and only over the
+    window [lo, hi] of sums that may still hold a mass >= the smallest
+    normal double. Each step widens the window by one at the top, then
+    trims either end while both states there are below that threshold.
+    So at most n entries are ever trimmed, each under 2 * tiny, and the
+    output moves by less than 2 n tiny in total (4e-303 at the size
+    guard). Without the trim the tails fill with subnormals, which are
+    slow to compute and carry no correct digits (P(g = n) came out near
+    1e-323 where the truth is near 1e-969). Each element keeps the
+    operation order of the plain full-width recurrence, so masses far
+    above the threshold are bit-identical to it. Cost is O(n * width)
+    time, at most O(n^2), and O(n) memory.
+    """
+    t11, t01 = model.transitions(rate)
+    s11, s01 = 1.0 - t11, 1.0 - t01
+    tiny = np.finfo(float).tiny
+    # last0[k] = P(sum over first i votes = k, vote i = 0); same for last1.
+    # Invariant: both pairs are zero outside the current window.
+    last0, last1, new0, new1, work = np.zeros((5, n + 1))
+    last0[0] = 1.0 - rate
+    last1[1] = rate
+    lo, hi = 0, 1
+    for _ in range(n - 1):
+        prev0, prev1 = last0[lo : hi + 1], last1[lo : hi + 1]
+        tmp = work[: hi + 1 - lo]
+        up = new1[lo + 1 : hi + 2]
+        np.multiply(prev1, t11, out=up)
+        np.multiply(prev0, t01, out=tmp)
+        np.add(up, tmp, out=up)
+        new1[lo] = 0.0
+        stay = new0[lo : hi + 1]
+        np.multiply(prev1, s11, out=stay)
+        np.multiply(prev0, s01, out=tmp)
+        np.add(stay, tmp, out=stay)
+        hi += 1
+        # Zero trimmed entries in both pairs: the old pair is the next
+        # step's output, and a stale mass there would leak back in.
+        while lo < hi and new0[lo] < tiny and new1[lo] < tiny:
+            new0[lo] = new1[lo] = last0[lo] = last1[lo] = 0.0
+            lo += 1
+        while hi > lo and new0[hi] < tiny and new1[hi] < tiny:
+            new0[hi] = new1[hi] = last0[hi] = last1[hi] = 0.0
+            hi -= 1
+        last0, last1, new0, new1 = new0, new1, last0, last1
+    out = last0 + last1
+    out /= out.sum()
+    return out
+
+
 def sample_labeled_votes(
     cfg: EnsembleConfig, count: int, rng: np.random.Generator
 ) -> tuple:

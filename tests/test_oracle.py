@@ -28,6 +28,7 @@ from votephase.oracle import (
     exact_error,
     exact_vote_pmf,
 )
+from reference import markov_sum_pmf_dp
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)
@@ -163,7 +164,7 @@ class TestExactVotePmf:
 TINY = np.finfo(float).tiny
 
 
-# The large geometric pmfs take up to a second each; build each once.
+# The large geometric pmfs take about 0.1 s each; build each once.
 _cached_pmf = functools.lru_cache(maxsize=None)(exact_vote_pmf)
 
 
@@ -268,6 +269,56 @@ class TestGeometricLargeN:
         )
 
 
+class TestTransferMatrixMatchesDp:
+    """The transfer-matrix product against the step-by-step DP.
+
+    r = 1 - 2**-53 is in the grid; gamma = 1 - 2**-53 is not: there both
+    codes accumulate about n ulps of rounding and differ by 3.9e-13 at
+    n = 4097.
+    """
+
+    RATES = (5e-324, 1e-9, 0.3, 0.5, 0.7, 1 - 1e-9, 1 - 2**-53)
+    GAMMAS = (1e-9, 0.1, 0.5, 0.8, 0.9, 0.99, 0.999)
+
+    @staticmethod
+    def _assert_agree(mass, dp):
+        big = dp >= 1e-200
+        np.testing.assert_allclose(mass[big], dp[big], rtol=1e-12, atol=0)
+        assert np.all(dp[mass >= 1e-200] > 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33, 64, 257, 1000, 4097])
+    def test_grid(self, n):
+        for rate in self.RATES:
+            for gamma in self.GAMMAS:
+                model = Geometric(gamma=gamma)
+                mass = exact_vote_pmf(model, n, rate).mass
+                self._assert_agree(mass, markov_sum_pmf_dp(n, rate, model))
+
+    @pytest.mark.parametrize(
+        "n, rate, gamma", [*LARGE_GEOMETRIC[:2], (20001, 1e-9, 0.5)]
+    )
+    def test_large_n(self, n, rate, gamma):
+        model = Geometric(gamma=gamma)
+        mass = _cached_pmf(model, n, rate).mass
+        self._assert_agree(mass, markov_sum_pmf_dp(n, rate, model))
+
+    # Where a rate or a transition is subnormal, whole matrix entries
+    # trim away.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rate", [5e-324, 1 - 2**-53])
+    @pytest.mark.parametrize("gamma", [1e-9, 0.999])
+    def test_edge_rates(self, n, rate, gamma):
+        model = Geometric(gamma=gamma)
+        mass = exact_vote_pmf(model, n, rate).mass
+        assert mass.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert not np.any((mass > 0.0) & (mass < TINY))
+        dp = markov_sum_pmf_dp(n, rate, model)
+        big = dp >= 1e-200
+        # The product adds (a + c) + (b + d) where the DP adds
+        # (a + b) + (c + d), so a mass may differ in its last bit.
+        np.testing.assert_array_max_ulp(mass[big], dp[big], maxulp=1)
+
+
 class TestNoSubnormals:
     @pytest.mark.parametrize(
         "model, n, rate",
@@ -330,6 +381,10 @@ class TestBruteForce:
                 assert brute_force_error(cfg) == pytest.approx(
                     exact_error(cfg), abs=1e-12
                 )
+
+    def test_pinned_geometric_value(self):
+        cfg = _cfg(18, 0.6, 0.4, pi=0.3, model=Geometric(gamma=0.8))
+        assert brute_force_error(cfg) == 0.355608035385387
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):

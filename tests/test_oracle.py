@@ -1,11 +1,13 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
+from scipy.stats import binom
 
 from votephase.analytic import mean_individual_error, sum_variance
 from votephase.model import (
@@ -78,6 +80,33 @@ class TestBinomialPmf:
         assert np.all(pmf >= 0)
         k = np.arange(100_001)
         assert float(k @ pmf) == pytest.approx(30_000.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [7, 15, 21, 101, 1001])
+    def test_matches_exact_rationals(self, n):
+        for r in (0.6, 0.4, 0.3, 0.01, 0.65):
+            # r = a / d exactly; the numerators comb(n, k) a^k b^(n-k) come
+            # from b^n by an exact integer recurrence, and int / int rounds
+            # each mass correctly.
+            a, d = Fraction(r).as_integer_ratio()
+            b = d - a
+            scale, numerator, exact = d**n, b**n, []
+            for k in range(n + 1):
+                exact.append(numerator / scale)
+                numerator = numerator * (n - k) * a // ((k + 1) * b)
+            exact = np.array(exact)
+            big = exact >= 1e-200
+            np.testing.assert_allclose(
+                binomial_pmf(n, r)[big], exact[big], rtol=1e-12, atol=0, err_msg=f"r={r}"
+            )
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_matches_scipy_at_large_n(self, n):
+        for r in (0.6, 0.4, 0.3, 1e-5):
+            mass = binomial_pmf(n, r)
+            ref = binom.pmf(np.arange(n + 1), n, r)
+            big = ref >= 1e-300
+            assert np.all(mass[big] > 0.0)
+            np.testing.assert_allclose(mass[big], ref[big], rtol=1e-10, atol=0, err_msg=f"r={r}")
 
 
 class TestVotePmf:
@@ -334,10 +363,11 @@ class TestNoSubnormals:
         mass = _cached_pmf(model, n, rate).mass
         assert not np.any((mass > 0.0) & (mass < TINY))
 
-    @pytest.mark.parametrize("n", [1001, 1_000_000])
+    @pytest.mark.parametrize("n", [1001, 1_000_000, BINOMIAL_SIZE_GUARD])
     def test_binomial_pmf_direct_call(self, n):
-        # 10 and 949 masses here were subnormal before the flush
+        # 10, 949 and 3003 masses here are subnormal before the flush
         mass = binomial_pmf(n, 0.6)
+        assert mass.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
         assert not np.any((mass > 0.0) & (mass < TINY))
         np.testing.assert_array_equal(mass, exact_vote_pmf(Independent(), n, 0.6).mass)
 
@@ -376,7 +406,7 @@ class TestExactError:
 class TestBruteForce:
     def test_matches_exact_error_all_models(self):
         for model in (Independent(), Geometric(gamma=0.7), Equicorrelated(lam=0.4)):
-            for n in (1, 2, 3, 6):
+            for n in (1, 2, 3, 6, BRUTE_FORCE_SIZE_GUARD):
                 cfg = _cfg(n, 0.65, 0.3, pi=0.4, model=model)
                 assert brute_force_error(cfg) == pytest.approx(
                     exact_error(cfg), abs=1e-12
@@ -385,6 +415,15 @@ class TestBruteForce:
     def test_pinned_geometric_value(self):
         cfg = _cfg(18, 0.6, 0.4, pi=0.3, model=Geometric(gamma=0.8))
         assert brute_force_error(cfg) == 0.355608035385387
+
+    @pytest.mark.parametrize(
+        "model, value",
+        [(Independent(), 0.17324755315484267), (Equicorrelated(lam=0.4), 0.2639485318929056)],
+        ids=["independent", "equicorrelated"],
+    )
+    def test_pinned_value(self, model, value):
+        cfg = _cfg(18, 0.6, 0.4, pi=0.3, model=model)
+        assert brute_force_error(cfg) == value
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):

@@ -220,8 +220,7 @@ def _analytic(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
 
 
 def _oracle(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
-    pmf_p = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.p)
-    pmf_q = oracle.exact_vote_pmf(cfg.model, cfg.n, cfg.rates.q)
+    pmf_p, pmf_q = oracle.class_pmfs(cfg)
     err = oracle.error_from_pmfs(pmf_p, pmf_q, cfg.prior.pi)
     payload: dict = {"config": cfg.to_dict(), "err_exact": err}
     if not args.pmf:

@@ -23,6 +23,7 @@ degenerate endpoint values are rejected rather than silently handled.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from typing import Any, Iterator, Union
@@ -69,6 +70,13 @@ def _as_size(value: Any, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise BadSize(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_type(value: Any, cls: type, name: str) -> None:

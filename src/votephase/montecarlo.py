@@ -15,7 +15,6 @@ is needed.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -30,6 +29,7 @@ from .model import (
     VotePhaseError,
     _as_probability,
     _as_size,
+    _cpus,
 )
 from .sampler import RngSeed, make_rng, sample_matrix
 
@@ -97,13 +97,6 @@ def _ensemble_size(n: int, minimum: int = 1, guard: int = MC_SIZE_GUARD) -> int:
     if n > guard:
         raise BadSize(f"Monte Carlo n={n} exceeds guard {guard}")
     return n
-
-
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:

@@ -398,6 +398,18 @@ class TestOracle:
         assert len(lines) == 5 and lines[-1].startswith("err_exact,")
         assert lines[1].split(",")[1] == "0.09"
 
+    def test_identical_across_runs_and_cpu_counts(self, capsys, tmp_path, monkeypatch):
+        # n = 10001 is above GEOMETRIC_THREAD_MIN_N, so 8 CPUs take the threaded path
+        args = ["oracle", "--n", "10001", "--p", "0.6", "--q", "0.4", "--pi", "0.5",
+                "--model", "geometric", "--gamma", "0.8", "--pmf"]
+        paths = [tmp_path / f"run{i}.json" for i in range(3)]
+        for path, cpus in zip(paths, (1, 1, 8)):
+            monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+            assert main([*args, "--out", str(path)]) == 0
+        capsys.readouterr()
+        blobs = [p.read_bytes() for p in paths]
+        assert blobs[0] == blobs[1] == blobs[2]
+
 
 class TestSimulate:
     ARGS = ["simulate", *BASE, "--reps", "20000", "--seed", "42"]

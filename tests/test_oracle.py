@@ -1,5 +1,6 @@
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 from scipy.stats import binom
 
+from votephase import oracle
 from votephase.analytic import mean_individual_error, sum_variance
 from votephase.model import (
     BadParameter,
@@ -23,10 +25,12 @@ from votephase.oracle import (
     BINOMIAL_SIZE_GUARD,
     BRUTE_FORCE_SIZE_GUARD,
     GEOMETRIC_SIZE_GUARD,
+    GEOMETRIC_THREAD_MIN_N,
     SizeGuardExceeded,
     VotePmf,
     binomial_pmf,
     brute_force_error,
+    class_pmfs,
     exact_error,
     exact_vote_pmf,
 )
@@ -401,6 +405,91 @@ class TestExactError:
     def test_large_n_converges_to_limit(self):
         # p > 1/2 > q: majority error vanishes
         assert exact_error(_cfg(10_001, 0.6, 0.4)) < 1e-3
+
+
+def _geometric_cfg(n, gamma):
+    return _cfg(n, 0.6, 0.4, model=Geometric(gamma=gamma))
+
+
+class TestClassPmfs:
+    """The two class pmfs of a large geometric config run on two threads
+    when more than one CPU is usable; nothing else may change."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *(_geometric_cfg(n, g) for n in (GEOMETRIC_THREAD_MIN_N, 10_001) for g in (0.3, 0.8, 0.99)),
+            _cfg(10_001, 0.6, 0.4),
+            _cfg(10_001, 0.6, 0.4, model=Equicorrelated(lam=0.3)),
+        ],
+        ids=lambda cfg: "-".join(map(str, [cfg.n, *cfg.model.to_dict().values()])),
+    )
+    def test_threads_change_no_value(self, cfg, monkeypatch):
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+            results[cpus] = exact_error(cfg), [pmf.mass.tobytes() for pmf in class_pmfs(cfg)]
+        assert results[1] == results[2]
+
+    def test_large_geometric_pair_runs_on_worker_threads(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        threads = []
+
+        def traced(*args):
+            threads.append(threading.get_ident())
+            return exact_vote_pmf(*args)
+
+        monkeypatch.setattr(oracle, "exact_vote_pmf", traced)
+        class_pmfs(_geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8))
+        assert len(threads) == 2 and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize(
+        "cpus, cfg",
+        [
+            (1, _geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8)),
+            (2, _geometric_cfg(GEOMETRIC_THREAD_MIN_N - 1, 0.8)),
+            (2, _cfg(10_001, 0.6, 0.4)),
+            (2, _cfg(10_001, 0.6, 0.4, model=Equicorrelated(lam=0.3))),
+        ],
+        ids=["one-cpu", "below-threshold", "independent", "equicorrelated"],
+    )
+    def test_no_thread_starts(self, cpus, cfg, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        exact_error(cfg)
+        # the patch does catch the threaded path
+        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            class_pmfs(_geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8))
+
+    def test_size_guard_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        before = threading.active_count()
+        n = GEOMETRIC_SIZE_GUARD + 1
+        with pytest.raises(SizeGuardExceeded) as caught:
+            exact_error(_geometric_cfg(n, 0.8))
+        assert str(caught.value) == f"geometric pmf n={n} exceeds guard {GEOMETRIC_SIZE_GUARD}"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0.6, 0.4], ids=["p", "q"])
+    def test_pmf_error_reaches_caller_and_no_thread_outlives_it(self, failing, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        error = SizeGuardExceeded("pmf failed")
+
+        def pmf(model, n, rate):
+            if rate == failing:
+                raise error
+            return exact_vote_pmf(model, n, rate)
+
+        monkeypatch.setattr(oracle, "exact_vote_pmf", pmf)
+        before = threading.active_count()
+        with pytest.raises(SizeGuardExceeded) as caught:
+            exact_error(_geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8))
+        assert caught.value is error
+        assert threading.active_count() == before
 
 
 class TestBruteForce:

@@ -12,7 +12,10 @@ the estimate
               + (1 - Phi((n/2 - n q) / s_q)) * (1 - pi),
 
 where s_r is the standard deviation of the vote sum at marginal rate r
-under the chosen correlation model. The object of study is the gap
+under the chosen correlation model. Each model class in ``model.py``
+owns that variance, ``sum_variance(n, r)``, and its per-vote limit;
+this module validates the arguments and calls them. The object of
+study is the gap
 
     delta(n) = ErrHat(n) - err,    err = (1 - p) pi + q (1 - pi),
 
@@ -23,19 +26,19 @@ sits on, so the limiting gap delta(inf) is piecewise constant over nine
 regions of the (p, q) square and jumps by pi/2 across p = 1/2 and by
 (1 - pi)/2 across q = 1/2.
 
-Under the equicorrelated model the per-vote variance diverges, so the
-limit above does not describe the estimator. Plugging the quadratic
-variance term into the normal formula anyway gives an n-free value
+Under a model flagged ``abusive`` (the equicorrelated one) the
+per-vote variance diverges, so the limit above does not describe the
+estimator. Plugging the model's n**2 variance coefficient v(r), its
+``plugin_variance``, into the normal formula anyway gives an n-free
+value
 
-    Phi((1/2 - p) / sqrt(lam p (1 - p))) * pi
-    + (1 - Phi((1/2 - q) / sqrt(lam q (1 - q)))) * (1 - pi),
+    Phi((1/2 - p) / sqrt(v(p))) * pi
+    + (1 - Phi((1/2 - q) / sqrt(v(q)))) * (1 - pi),
 
-identical to the independent-model estimate at effective size 1/lam.
-It is the same two-class formula as ErrHat(n), with gap 1/2 - r in
-place of n/2 - n r and variance lam r (1 - r) in place of s_r**2.
-This abuse of the normal limit is still exposed because it is the
-number the plug-in formula actually produces; callers can detect it
-via ``uses_abusive_variance``.
+the same two-class formula as ErrHat(n), with gap 1/2 - r in place of
+n/2 - n r and v(r) in place of s_r**2. This abuse of the normal limit
+is still exposed because it is the number the plug-in formula actually
+produces; every closed-form row flags it as ``abusive``.
 
 The nine limiting values form one table, built once at import;
 ``limiting_error`` evaluates the one cell a (p, q) point falls in.
@@ -55,13 +58,11 @@ from .model import (
     BadParameter,
     CorrelationModel,
     EnsembleConfig,
-    Equicorrelated,
-    Geometric,
-    Independent,
     Prior,
     RatePair,
     _as_probability,
     _as_size,
+    check_model,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -89,67 +90,21 @@ def mean_individual_error(rates: RatePair, prior: Prior) -> float:
     return _individual_error(rates.p, rates.q, prior.pi)
 
 
-def geometric_variance_factor(gamma: float, n: int) -> float:
-    """Variance inflation of the vote sum under geometric correlation.
-
-    Var(g) = n r (1 - r) * M(gamma, n) with
-
-        M = 1 + 2 * sum_{j=1}^{n-1} (1 - j/n) gamma**j
-          = 1 + 2 (gamma / (1 - gamma)) * (1 - (1 - gamma**n) / (n (1 - gamma)))
-
-    The closed form follows from splitting the sum into a plain
-    geometric series and a j-weighted one.
-    """
-    g = _as_probability(gamma, "gamma", BadParameter)
-    n = _as_size(n, "n")
-    one_minus = 1.0 - g
-    # gamma**n underflows harmlessly to 0 for large n
-    tail = (1.0 - g**n) / (n * one_minus)
-    return 1.0 + 2.0 * (g / one_minus) * (1.0 - tail)
-
-
 def sum_variance(model: CorrelationModel, n: int, rate: float) -> float:
-    """Exact variance of the n-member vote sum at marginal rate r.
-
-    Independent: n r (1 - r).
-    Geometric: n r (1 - r) * M(gamma, n).
-    Equicorrelated: n**2 lam r (1 - r) + n (1 - lam) r (1 - r).
-    """
+    """Exact variance of the n-member vote sum at marginal rate r,
+    validated; see the model's own ``sum_variance``."""
     r = _as_probability(rate, "rate")
     n = _as_size(n, "n")
-    base = r * (1.0 - r)
-    if isinstance(model, Independent):
-        return n * base
-    if isinstance(model, Geometric):
-        return n * base * geometric_variance_factor(model.gamma, n)
-    if isinstance(model, Equicorrelated):
-        return n * n * model.lam * base + n * (1.0 - model.lam) * base
-    raise BadParameter(f"unknown correlation model {model!r}")
+    check_model(model)
+    return model.sum_variance(n, r)
 
 
 def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> float:
-    """lim_n Var(g)/n per model; ``math.inf`` under equicorrelation.
-
-    Independent: r (1 - r). Geometric: r (1 - r) (1 + gamma)/(1 - gamma),
-    the n -> inf limit of the variance factor. Equicorrelated: the n**2
-    term makes the per-vote variance diverge.
-    """
+    """lim_n Var(g)/n at rate r, validated; ``math.inf`` under
+    equicorrelation. See the model's own ``asymptotic_sigma_sq``."""
     r = _as_probability(rate, "rate")
-    base = r * (1.0 - r)
-    if isinstance(model, Independent):
-        return base
-    if isinstance(model, Geometric):
-        g = model.gamma
-        return base * (1.0 + g) / (1.0 - g)
-    if isinstance(model, Equicorrelated):
-        return math.inf
-    raise BadParameter(f"unknown correlation model {model!r}")
-
-
-def uses_abusive_variance(model: CorrelationModel) -> bool:
-    """True when the normal plug-in formula is applied despite an
-    infinite per-vote variance (equicorrelated model)."""
-    return isinstance(model, Equicorrelated)
+    check_model(model)
+    return model.asymptotic_sigma_sq(r)
 
 
 def _normal_estimate(n: int, rates: RatePair, prior: Prior, variance: Callable) -> float:
@@ -169,8 +124,7 @@ def _normal_estimate(n: int, rates: RatePair, prior: Prior, variance: Callable) 
 
 def estimated_error(cfg: EnsembleConfig) -> float:
     """Normal-approximation estimate of the majority error at finite n."""
-    n, model = cfg.n, cfg.model
-    return _normal_estimate(n, cfg.rates, cfg.prior, lambda r: sum_variance(model, n, r))
+    return _normal_estimate(cfg.n, cfg.rates, cfg.prior, lambda r: cfg.model.sum_variance(cfg.n, r))
 
 
 def estimated_error_asymptotic(
@@ -179,22 +133,21 @@ def estimated_error_asymptotic(
     """n -> inf value of the normal plug-in estimate.
 
     For finite per-vote variance this is the step-function limit
-    ``limiting_error``. For the equicorrelated model the n's cancel
-    inside the Phi arguments and the plug-in value is n-free:
-    the estimate at n = 1 with variance lam r (1 - r), equivalent to an
-    independent ensemble of effective size 1/lam.
+    ``limiting_error``. For an ``abusive`` model the n's cancel inside
+    the Phi arguments and the plug-in value is n-free: the estimate at
+    n = 1 with the model's ``plugin_variance``. Under equicorrelation
+    that is lam r (1 - r), equivalent to an independent ensemble of
+    effective size 1/lam.
 
     lam r (1 - r) underflows to 0 only where the true Phi argument
     exceeds 1e145 in size, or is 0 at r = 1/2. Flooring it at the
     smallest positive double gives exactly Phi(+-inf) or Phi(0) there,
     and leaves every positive variance as it is.
     """
-    if isinstance(model, (Independent, Geometric)):
+    check_model(model)
+    if not model.abusive:
         return limiting_error(rates, prior)
-    if isinstance(model, Equicorrelated):
-        lam = model.lam
-        return _normal_estimate(1, rates, prior, lambda r: max(lam * r * (1.0 - r), math.ulp(0.0)))
-    raise BadParameter(f"unknown correlation model {model!r}")
+    return _normal_estimate(1, rates, prior, lambda r: max(model.plugin_variance(r), math.ulp(0.0)))
 
 
 class Side(enum.Enum):

@@ -12,9 +12,9 @@ them; boundary values appear only when the spec's endpoints and step
 actually generate them.
 
 ``delta_inf`` in each row is the model's own n -> inf plug-in value:
-the nine-region limit for finite-variance models, the n-free abusive
-value for the equicorrelated model (flagged by ``abusive``). ``phase``
-classifies its sign.
+the nine-region limit for finite-variance models, the n-free value for
+a model whose class sets ``abusive`` (the equicorrelated one), which
+the row's ``abusive`` copies. ``phase`` classifies its sign.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .analytic import (
     estimated_error_asymptotic,
     mean_individual_error,
     phase_of,
-    uses_abusive_variance,
 )
 from .model import ASYMPTOTIC, CorrelationModel, EnsembleConfig, GridSpec, Prior, RatePair
 
@@ -67,7 +66,7 @@ def point(rates: RatePair, prior: Prior, model: CorrelationModel, n: int | str) 
         delta_n=err_hat - err,
         delta_inf=delta_inf,
         phase=phase_of(delta_inf),
-        abusive=uses_abusive_variance(model),
+        abusive=model.abusive,
     )
 
 

@@ -14,6 +14,14 @@ votes may be dependent. Three dependence regimes are supported:
   realized by a shared-coin mixture. The vote-sum variance grows like
   n**2 under this model, so no law of large numbers applies.
 
+Each model class carries its own closed forms in pure Python: the
+vote-sum variance ``sum_variance(n, r)``, its per-vote limit
+``asymptotic_sigma_sq(r)``, and the ``abusive`` flag that marks a
+model whose per-vote variance diverges. ``analytic`` and ``grid`` call
+these after one ``check_model``; only the numpy constructions of the
+oracle and the sampler, which must share no code, dispatch on the
+class themselves.
+
 Every type here is immutable and validates eagerly: construction either
 succeeds with all invariants satisfied or raises a typed error. Rates,
 priors and correlation parameters live in the open interval (0, 1);
@@ -84,12 +92,17 @@ def _check_type(value: Any, cls: type, name: str) -> None:
         raise BadParameter(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
+def _size_text(count: int) -> str:
+    """``count`` in digits, or its bit length once it exceeds 2**53."""
+    return str(count) if count <= 2**53 else f"a {count.bit_length()}-bit integer"
+
+
 def _as_ensemble_size(value: Any) -> int:
     """A positive n the tie rule can use: above 2**53 a double no longer
     holds n / 2 exactly, so g > n / 2 could round the wrong way."""
     n = _as_size(value, "n")
     if n > 2**53:
-        raise BadSize(f"n must be <= 2**53, got a {n.bit_length()}-bit integer")
+        raise BadSize(f"n must be <= 2**53, got {_size_text(n)}")
     return n
 
 
@@ -136,11 +149,19 @@ class CorrelationModel:
     the name of its one parameter as both JSON key and CLI flag
     (``--<param>``), or None for a model without one. The parameter is
     the subclass's only dataclass field.
+
+    The subclass also holds the model's closed forms for valid
+    arguments (an int n >= 1 and a float rate r in (0, 1)):
+    ``sum_variance(n, r)``, the exact variance of the vote sum, and
+    ``asymptotic_sigma_sq(r)``, its limit of Var(g)/n. ``abusive`` is
+    True for a model whose per-vote variance diverges, so that a normal
+    plug-in formula applied to it abuses the normal limit.
     """
 
     kind: str = ""
     param: Union[str, None] = None
     param_help: str = ""
+    abusive: bool = False
 
     def __post_init__(self) -> None:
         """Check the parameter, if any, under its JSON name ``param``."""
@@ -161,6 +182,14 @@ class Independent(CorrelationModel):
     """Conditionally independent votes."""
 
     kind = "independent"
+
+    def sum_variance(self, n: int, rate: float) -> float:
+        """n r (1 - r)."""
+        return n * (rate * (1.0 - rate))
+
+    def asymptotic_sigma_sq(self, rate: float) -> float:
+        """r (1 - r)."""
+        return rate * (1.0 - rate)
 
 
 @dataclass(frozen=True)
@@ -188,6 +217,29 @@ class Geometric(CorrelationModel):
         """
         return rate + self.gamma * (1.0 - rate), rate * (1.0 - self.gamma)
 
+    def variance_factor(self, n: int) -> float:
+        """Variance inflation M of the vote sum: Var(g) = n r (1 - r) M.
+
+            M = 1 + 2 * sum_{j=1}^{n-1} (1 - j/n) gamma**j
+              = 1 + 2 (gamma / (1 - gamma)) * (1 - (1 - gamma**n) / (n (1 - gamma)))
+
+        The closed form follows from splitting the sum into a plain
+        geometric series and a j-weighted one.
+        """
+        g = self.gamma
+        one_minus = 1.0 - g
+        # gamma**n underflows harmlessly to 0 for large n
+        tail = (1.0 - g**n) / (n * one_minus)
+        return 1.0 + 2.0 * (g / one_minus) * (1.0 - tail)
+
+    def sum_variance(self, n: int, rate: float) -> float:
+        """n r (1 - r) * M(gamma, n)."""
+        return n * (rate * (1.0 - rate)) * self.variance_factor(n)
+
+    def asymptotic_sigma_sq(self, rate: float) -> float:
+        """r (1 - r) (1 + gamma)/(1 - gamma), the n -> inf limit of M."""
+        return rate * (1.0 - rate) * (1.0 + self.gamma) / (1.0 - self.gamma)
+
 
 @dataclass(frozen=True)
 class Equicorrelated(CorrelationModel):
@@ -204,11 +256,31 @@ class Equicorrelated(CorrelationModel):
     kind = "equicorrelated"
     param = "lambda"
     param_help = "pairwise correlation"
+    abusive = True
+
+    def sum_variance(self, n: int, rate: float) -> float:
+        """n**2 lam r (1 - r) + n (1 - lam) r (1 - r)."""
+        base = rate * (1.0 - rate)
+        return n * n * self.lam * base + n * (1.0 - self.lam) * base
+
+    def asymptotic_sigma_sq(self, rate: float) -> float:
+        """``math.inf``: the n**2 term makes the per-vote variance diverge."""
+        return math.inf
+
+    def plugin_variance(self, rate: float) -> float:
+        """lam r (1 - r), the n**2 coefficient of the vote-sum variance."""
+        return self.lam * rate * (1.0 - rate)
 
 
 # kind -> model class; the JSON schema, the CLI flags and the --model
 # choices are all read from here.
 MODELS = {cls.kind: cls for cls in (Independent, Geometric, Equicorrelated)}
+
+
+def check_model(model: Any) -> None:
+    """Raise unless ``model`` is an instance of a registered model class."""
+    if not isinstance(model, tuple(MODELS.values())):
+        raise BadParameter(f"unknown correlation model {model!r}")
 
 
 def model_class(kind: Any) -> type:
@@ -247,7 +319,7 @@ class EnsembleConfig:
         _check_type(self.rates, RatePair, "rates")
         _check_type(self.prior, Prior, "prior")
         _check_type(self.model, CorrelationModel, "model")
-        model_class(self.model.kind)
+        _check_type(self.model, model_class(self.model.kind), "model")
 
     def to_dict(self) -> dict:
         return {
@@ -323,7 +395,8 @@ class GridSpec:
         rp = _as_size(rp, "p-axis resolution")
         rq = _as_size(rq, "q-axis resolution")
         if rp * rq > GRID_CELL_GUARD:
-            raise BadSize(f"grid of {rp} x {rq} points exceeds guard {GRID_CELL_GUARD}")
+            size = f"{_size_text(rp)} x {_size_text(rq)}"
+            raise BadSize(f"grid of {size} points exceeds guard {GRID_CELL_GUARD}")
         object.__setattr__(self, "resolution", (rp, rq))
         self._check_axis("p", self.p_min, self.p_max, rp)
         self._check_axis("q", self.q_min, self.q_max, rq)
@@ -331,7 +404,7 @@ class GridSpec:
             object.__setattr__(self, "n", _as_ensemble_size(self.n))
         _check_type(self.prior, Prior, "prior")
         _check_type(self.model, CorrelationModel, "model")
-        model_class(self.model.kind)
+        _check_type(self.model, model_class(self.model.kind), "model")
 
     @staticmethod
     def _check_axis(name: str, lo: float, hi: float, res: int) -> None:

@@ -43,13 +43,13 @@ from .model import (
     BadParameter,
     CorrelationModel,
     EnsembleConfig,
-    Equicorrelated,
     Geometric,
     Independent,
     VotePhaseError,
     _as_probability,
     _as_size,
     _cpus,
+    check_model,
 )
 
 # The geometric pmf costs O(w^2) for a window of w normal-double masses,
@@ -264,6 +264,7 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     """Exact pmf of the vote sum at marginal rate r under the model."""
     n = _as_size(n, "n")
     r = _as_probability(rate, "rate")
+    check_model(model)
     if isinstance(model, Independent):
         mass = binomial_pmf(n, r)
     elif isinstance(model, Geometric):
@@ -272,12 +273,10 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
                 f"geometric pmf n={n} exceeds guard {GEOMETRIC_SIZE_GUARD}"
             )
         mass = _markov_sum_pmf(n, r, model)
-    elif isinstance(model, Equicorrelated):
+    else:  # Equicorrelated
         mass = (1.0 - model.lam) * binomial_pmf(n, r)
         mass[0] += model.lam * (1.0 - r)
         mass[n] += model.lam * r
-    else:
-        raise BadParameter(f"unknown correlation model {model!r}")
     return VotePmf(n=n, mass=mass)
 
 
@@ -333,6 +332,7 @@ def _vector_probabilities(
     with h = len(prob) / 2, prob[:h] ends in a 0 and prob[h:] in a 1,
     and the new vote doubles the array.
     """
+    check_model(model)
     if isinstance(model, Geometric):
         t11, t01 = model.transitions(rate)
         prob = np.array([1.0 - rate, rate])
@@ -345,12 +345,11 @@ def _vector_probabilities(
     independent = rate**ones * (1.0 - rate) ** (n - ones)
     if isinstance(model, Independent):
         return independent
-    if isinstance(model, Equicorrelated):
-        shared = np.zeros(len(ones))
-        shared[ones == n] = rate
-        shared[ones == 0] = 1.0 - rate
-        return model.lam * shared + (1.0 - model.lam) * independent
-    raise BadParameter(f"unknown correlation model {model!r}")
+    # Equicorrelated
+    shared = np.zeros(len(ones))
+    shared[ones == n] = rate
+    shared[ones == 0] = 1.0 - rate
+    return model.lam * shared + (1.0 - model.lam) * independent
 
 
 def brute_force_error(cfg: EnsembleConfig) -> float:

@@ -36,10 +36,10 @@ import numpy as np
 from .model import (
     BadParameter,
     CorrelationModel,
-    Equicorrelated,
     Geometric,
     Independent,
     _as_size,
+    check_model,
 )
 
 _U64_MAX = 2**64 - 1
@@ -132,6 +132,7 @@ def sample_matrix(
     n = _as_size(n, "n")
     count = _as_size(count, "count")
     rates = _per_row_rates(rate, count)
+    check_model(model)
     if isinstance(model, Independent):
         (votes,) = _below(rng, rates, n, rates)
     elif isinstance(model, Geometric):
@@ -140,11 +141,9 @@ def sample_matrix(
         for i in range(1, n):
             np.logical_and(stay[i], votes[i - 1], out=stay[i])
             np.logical_or(votes[i], stay[i], out=votes[i])
-    elif isinstance(model, Equicorrelated):
+    else:  # Equicorrelated
         shared_branch = rng.random(count) < model.lam
         shared_vote = rng.random(count) < rates
         (votes,) = _below(rng, rates, n, rates)
         votes[:, shared_branch] = shared_vote[shared_branch]
-    else:
-        raise BadParameter(f"unknown correlation model {model!r}")
     return votes.view(np.uint8).T

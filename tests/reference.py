@@ -45,6 +45,17 @@ def max_improvement(spec: GridSpec) -> Improvement:
     return Improvement(value=-best.delta_n, at=(best.p, best.q))
 
 
+def geometric_variance_factor(gamma: float, n: int) -> float:
+    """A validated ``Geometric(gamma).variance_factor(n)``."""
+    return Geometric(gamma).variance_factor(_as_size(n, "n"))
+
+
+def uses_abusive_variance(model: CorrelationModel) -> bool:
+    """True when the normal plug-in formula is applied despite an
+    infinite per-vote variance (equicorrelated model)."""
+    return model.abusive
+
+
 def geometric_variance_factor_direct(gamma: float, n: int) -> float:
     """O(n) sum 1 + 2 sum_{j<n} (1 - j/n) gamma**j for the closed form."""
     g = _as_probability(gamma, "gamma", BadParameter)

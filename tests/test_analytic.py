@@ -11,7 +11,6 @@ from votephase.analytic import (
     delta,
     estimated_error,
     estimated_error_asymptotic,
-    geometric_variance_factor,
     limiting_delta,
     limiting_error,
     mean_individual_error,
@@ -19,7 +18,6 @@ from votephase.analytic import (
     side_of,
     std_normal_cdf,
     sum_variance,
-    uses_abusive_variance,
 )
 from votephase.model import (
     BadParameter,
@@ -30,7 +28,12 @@ from votephase.model import (
     Prior,
     RatePair,
 )
-from reference import delta_asymptotic, geometric_variance_factor_direct
+from reference import (
+    delta_asymptotic,
+    geometric_variance_factor,
+    geometric_variance_factor_direct,
+    uses_abusive_variance,
+)
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)

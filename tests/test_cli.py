@@ -570,6 +570,16 @@ class TestPhaseGrid:
         assert err.startswith("votephase: error: grid of ") and err.count("\n") == 1
         assert f"exceeds guard {GRID_CELL_GUARD}" in err
 
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+    def test_tiny_step_states_axis_counts_by_bit_length(self, capsys, step):
+        # Each axis count has about 300 digits; the error line gives its
+        # bit length instead of printing it.
+        code, out, err = _run(capsys, ["phase-grid", "--step", step, "--n", "3", "--pi", "0.5"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("votephase: error: grid of a ") and "-bit integer x a " in err
+        assert err.endswith(f"points exceeds guard {GRID_CELL_GUARD}\n")
+
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "grid.csv"
         code, out, _ = _run(

@@ -163,3 +163,24 @@ def test_diagnose_stays_the_function_after_its_module_is_imported():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("name", ["analytic.py", "grid.py"])
+def test_closed_form_modules_name_no_model_class(name):
+    # Each model's closed forms live on its class in model.py; the
+    # closed-form modules call them and never branch on the class.
+    tree = ast.parse((ROOT / "src" / "votephase" / name).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert names & {"Independent", "Geometric", "Equicorrelated"} == set()
+
+
+def test_one_module_rejects_an_unknown_model():
+    holders = [path.name for path in PACKAGE if "unknown correlation model" in path.read_text()]
+    assert holders == ["model.py"]

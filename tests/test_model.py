@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -142,28 +143,42 @@ class TestCorrelationModels:
         assert (t11[1], t01[1]) == model.transitions(0.5)
 
 
+_DISPATCH_CALLS = {
+    "sum_variance": lambda model: sum_variance(model, 5, 0.6),
+    "asymptotic_sigma_sq": lambda model: asymptotic_sigma_sq(model, 0.6),
+    "exact_vote_pmf": lambda model: exact_vote_pmf(model, 5, 0.6),
+    "sample_matrix": lambda model: sample_matrix(model, 5, 0.6, 10, make_rng(RngSeed(seed=1), 0)),
+    "estimated_error_asymptotic": lambda model: estimated_error_asymptotic(
+        RatePair(0.6, 0.4), Prior(0.5), model
+    ),
+    "grid_point_asymptotic": lambda model: point(RatePair(0.6, 0.4), Prior(0.5), model, ASYMPTOTIC),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda model: sum_variance(model, 5, 0.6),
-        lambda model: asymptotic_sigma_sq(model, 0.6),
-        lambda model: exact_vote_pmf(model, 5, 0.6),
-        lambda model: sample_matrix(model, 5, 0.6, 10, make_rng(RngSeed(seed=1), 0)),
-        lambda model: estimated_error_asymptotic(RatePair(0.6, 0.4), Prior(0.5), model),
-        lambda model: point(RatePair(0.6, 0.4), Prior(0.5), model, ASYMPTOTIC),
-    ],
-    ids=[
-        "sum_variance",
-        "asymptotic_sigma_sq",
-        "exact_vote_pmf",
-        "sample_matrix",
-        "estimated_error_asymptotic",
-        "grid_point_asymptotic",
+    "call, non_model",
+    [pytest.param(call, "geometric", id=name) for name, call in _DISPATCH_CALLS.items()]
+    + [
+        pytest.param(call, CorrelationModel(), id=f"{name}-bare_base")
+        for name, call in _DISPATCH_CALLS.items()
     ],
 )
-def test_model_dispatch_rejects_a_non_model(call):
-    with pytest.raises(BadParameter, match="unknown correlation model 'geometric'"):
-        call("geometric")
+def test_model_dispatch_rejects_a_non_model(call, non_model):
+    with pytest.raises(BadParameter, match="unknown correlation model " + re.escape(repr(non_model))):
+        call(non_model)
+
+
+class _Impostor(CorrelationModel):
+    """A registered kind on a class that has none of the closed forms."""
+
+    kind = "independent"
+
+
+def test_configs_reject_a_registered_kind_on_another_class():
+    with pytest.raises(BadParameter, match="^model must be a Independent, got "):
+        EnsembleConfig(n=5, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5), model=_Impostor())
+    with pytest.raises(BadParameter, match="^model must be a Independent, got "):
+        GridSpec(0.1, 0.9, 0.1, 0.9, 3, 5, Prior(pi=0.5), _Impostor())
 
 class TestEnsembleConfig:
     def _cfg(self, **kw):

@@ -11,7 +11,12 @@ from scipy.special import betainc
 from scipy.stats import binom
 
 from votephase import oracle
-from votephase.analytic import mean_individual_error, sum_variance
+from votephase.analytic import (
+    estimated_error_asymptotic,
+    limiting_error,
+    mean_individual_error,
+    sum_variance,
+)
 from votephase.model import (
     BadParameter,
     EnsembleConfig,
@@ -405,6 +410,54 @@ class TestExactError:
     def test_large_n_converges_to_limit(self):
         # p > 1/2 > q: majority error vanishes
         assert exact_error(_cfg(10_001, 0.6, 0.4)) < 1e-3
+
+
+def _nine_cells(d):
+    """(p, q) at 1/2 - d, 1/2 and 1/2 + d on each axis: one point per
+    cell of the limit table."""
+    sides = (0.5 - d, 0.5, 0.5 + d)
+    return [RatePair(p=p, q=q) for p in sides for q in sides]
+
+
+class TestNineCellLimit:
+    """The paper's nine-cell limit against the exact oracle.
+
+    n is odd, so a rate of exactly 1/2 puts mass 1/2 on each side of
+    the tie by symmetry, which is the limit's on-boundary value. Off
+    the boundary, 1/2 +- d sits far enough out at these n that the
+    exact tails are below 1e-30.
+    """
+
+    PRIOR = Prior(pi=0.3)
+
+    @pytest.mark.parametrize(
+        "model, n, d",
+        [(Independent(), 10**6 + 1, 0.01), (Geometric(gamma=0.5), 10_001, 0.1)],
+        ids=["independent", "geometric"],
+    )
+    def test_exact_error_reaches_the_limit(self, model, n, d):
+        for rates in _nine_cells(d):
+            got = exact_error(EnsembleConfig(n=n, rates=rates, prior=self.PRIOR, model=model))
+            assert abs(got - limiting_error(rates, self.PRIOR)) <= 1e-12, rates
+
+    def test_equicorrelated_mixes_member_error_into_the_limit(self):
+        # With probability lam every member copies one coin, so the
+        # majority errs as one member does; otherwise the votes are
+        # independent and reach the limit. The n-free plug-in value
+        # misses this everywhere off the centre cell.
+        lam = 0.1
+        model = Equicorrelated(lam=lam)
+        for rates in _nine_cells(0.01):
+            cfg = EnsembleConfig(n=10**6 + 1, rates=rates, prior=self.PRIOR, model=model)
+            got = exact_error(cfg)
+            err = mean_individual_error(rates, self.PRIOR)
+            want = lam * err + (1.0 - lam) * limiting_error(rates, self.PRIOR)
+            assert abs(got - want) <= 1e-12, rates
+            plug_in = estimated_error_asymptotic(rates, self.PRIOR, model)
+            if (rates.p, rates.q) == (0.5, 0.5):
+                assert abs(got - plug_in) <= 1e-12
+            else:
+                assert abs(got - plug_in) > 0.1, rates
 
 
 def _geometric_cfg(n, gamma):

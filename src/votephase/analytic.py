@@ -13,9 +13,8 @@ the estimate
 
 where s_r is the standard deviation of the vote sum at marginal rate r
 under the chosen correlation model. Each model class in ``model.py``
-owns that variance, ``sum_variance(n, r)``, and its per-vote limit;
-this module validates the arguments and calls them. The object of
-study is the gap
+owns that variance, ``sum_variance(n, r)``; this module validates the
+arguments and calls it. The object of study is the gap
 
     delta(n) = ErrHat(n) - err,    err = (1 - p) pi + q (1 - pi),
 
@@ -97,14 +96,6 @@ def sum_variance(model: CorrelationModel, n: int, rate: float) -> float:
     n = _as_size(n, "n")
     check_model(model)
     return model.sum_variance(n, r)
-
-
-def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> float:
-    """lim_n Var(g)/n at rate r, validated; ``math.inf`` under
-    equicorrelation. See the model's own ``asymptotic_sigma_sq``."""
-    r = _as_probability(rate, "rate")
-    check_model(model)
-    return model.asymptotic_sigma_sq(r)
 
 
 def _normal_estimate(n: int, rates: RatePair, prior: Prior, variance: Callable) -> float:

@@ -203,7 +203,7 @@ def _analytic(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
     del row["p"], row["q"]
     verdict = analytic.limiting_delta(cfg.rates, cfg.prior)
     sigma = {
-        name: analytic.asymptotic_sigma_sq(cfg.model, rate)
+        name: cfg.model.asymptotic_sigma_sq(rate)
         for name, rate in (("p", cfg.rates.p), ("q", cfg.rates.q))
     }
     payload = {

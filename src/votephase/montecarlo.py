@@ -171,23 +171,17 @@ def mc_conditional_error(
 
 @dataclass(frozen=True)
 class CorrelationSummary:
-    """Empirical pairwise correlation structure of sampled votes."""
+    """Empirical pairwise correlation structure of sampled votes.
+
+    ``mc_correlation_matrix`` builds it, with ``correlation`` (n x n)
+    and ``lag_means`` (n - 1) read-only.
+    """
 
     n: int
     reps: int
     correlation: np.ndarray
     lag_means: np.ndarray
     off_diagonal_mean: float
-
-    def __post_init__(self) -> None:
-        corr = np.asarray(self.correlation, dtype=float)
-        lags = np.asarray(self.lag_means, dtype=float)
-        if corr.shape != (self.n, self.n) or lags.shape != (self.n - 1,):
-            raise BadParameter("correlation summary shapes do not match n")
-        corr.flags.writeable = False
-        lags.flags.writeable = False
-        object.__setattr__(self, "correlation", corr)
-        object.__setattr__(self, "lag_means", lags)
 
 
 def mc_correlation_matrix(
@@ -232,6 +226,8 @@ def mc_correlation_matrix(
     corr = cov / np.sqrt(np.outer(variances, variances))
     np.fill_diagonal(corr, 1.0)
     lag_means = np.array([np.mean(np.diag(corr, k)) for k in range(1, n)])
+    corr.flags.writeable = False
+    lag_means.flags.writeable = False
     off_mask = ~np.eye(n, dtype=bool)
     return CorrelationSummary(
         n=n,

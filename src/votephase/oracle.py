@@ -18,9 +18,7 @@ Per model:
   cost nothing. O(n) memory; one pmf takes about 0.14 s at n = 20001
   and 0.6-2.9 s at n = 10**5 (gamma 0.3-0.99) on a 2-vCPU Xeon VM.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
-  threads (``class_pmfs``): ``exact_error`` at n = 20001, gamma 0.8,
-  p = 0.6, q = 0.4 went from 0.28-0.30 s on one core to 0.16-0.18 s
-  on both cores of that VM.
+  threads (``class_pmfs``).
 * Equicorrelated: two-component mixture, lam * (shared coin) +
   (1 - lam) * Binomial(n, r).
 
@@ -95,14 +93,14 @@ class VotePmf:
             raise BadParameter(
                 f"mass must have shape ({n + 1},), got {mass.shape}"
             )
-        if not np.all(mass >= -_PMF_SUM_TOL):
+        if not mass.min() >= -_PMF_SUM_TOL:
             raise BadParameter("mass entries must be nonnegative")
         total = float(mass.sum())
         if not abs(total - 1.0) <= _PMF_SUM_TOL:
             raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
-        mass = np.clip(mass, 0.0, None)
-        # Subnormals have lost most or all of their precision; report 0.
-        mass[mass < np.finfo(float).tiny] = 0.0
+        # Subnormals have lost most or all of their precision, and the
+        # tolerated negatives are rounding; report both as 0.
+        mass = np.where(mass < np.finfo(float).tiny, 0.0, mass)
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
 
@@ -315,11 +313,7 @@ def class_pmfs(cfg: EnsembleConfig) -> tuple:
 
 def exact_error(cfg: EnsembleConfig) -> float:
     """Exact majority-vote error rate; see ``error_from_pmfs``."""
-    # Unpacked so that the pmfs are freed p first when the call returns.
-    # Freeing them from the tuple, q first, left the heap in a state in
-    # which the next brute_force_error ran about 2x slower (glibc).
-    pmf_p, pmf_q = class_pmfs(cfg)
-    return error_from_pmfs(pmf_p, pmf_q, cfg.prior.pi)
+    return error_from_pmfs(*class_pmfs(cfg), cfg.prior.pi)
 
 
 def _vector_probabilities(

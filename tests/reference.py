@@ -18,6 +18,7 @@ from votephase.model import (
     RatePair,
     _as_probability,
     _as_size,
+    check_model,
 )
 from votephase.sampler import sample_matrix
 
@@ -43,6 +44,14 @@ def max_improvement(spec: GridSpec) -> Improvement:
     """Maximum of -delta_n over the grid, first argmax in row-major order."""
     best = max(sweep(spec), key=lambda row: -row.delta_n)
     return Improvement(value=-best.delta_n, at=(best.p, best.q))
+
+
+def asymptotic_sigma_sq(model: CorrelationModel, rate: float) -> float:
+    """lim_n Var(g)/n at rate r, validated; ``math.inf`` under
+    equicorrelation. See the model's own ``asymptotic_sigma_sq``."""
+    r = _as_probability(rate, "rate")
+    check_model(model)
+    return model.asymptotic_sigma_sq(r)
 
 
 def geometric_variance_factor(gamma: float, n: int) -> float:

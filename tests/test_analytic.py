@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from votephase.analytic import (
     Phase,
     Side,
-    asymptotic_sigma_sq,
     delta,
     estimated_error,
     estimated_error_asymptotic,
@@ -29,6 +28,7 @@ from votephase.model import (
     RatePair,
 )
 from reference import (
+    asymptotic_sigma_sq,
     delta_asymptotic,
     geometric_variance_factor,
     geometric_variance_factor_direct,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -689,6 +690,7 @@ class TestTopLevel:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "votephase", "analytic", *BASE],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
             capture_output=True,
             text=True,
         )

@@ -79,6 +79,10 @@ class TestPredictionMatrix:
         with pytest.raises(BadSize):
             PredictionMatrix(labels=[1], votes=[[1]])
 
+    def test_no_classifier_column_rejected(self):
+        with pytest.raises(BadSize, match="need at least 1 classifier column"):
+            PredictionMatrix(labels=[0, 1], votes=np.zeros((2, 0)))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(BadParameter):
             PredictionMatrix(labels=[0, 1], votes=[[1], [0], [1]])

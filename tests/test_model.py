@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votephase.analytic import asymptotic_sigma_sq, estimated_error_asymptotic, sum_variance
+from votephase.analytic import estimated_error_asymptotic, sum_variance
 from votephase.grid import point
 from votephase.model import (
     ASYMPTOTIC,
@@ -27,6 +27,7 @@ from votephase.model import (
 )
 from votephase.oracle import exact_vote_pmf
 from votephase.sampler import RngSeed, make_rng, sample_matrix
+from reference import asymptotic_sigma_sq
 
 
 class TestRatePair:
@@ -246,6 +247,11 @@ class TestGridSpec:
         )
         base.update(kw)
         return GridSpec(**base)
+
+    def test_from_dict_missing_keys(self):
+        message = "grid spec missing keys: ['model', 'n', 'p_max', 'pi', 'q_max', 'q_min', 'resolution']"
+        with pytest.raises(BadParameter, match=re.escape(message)):
+            GridSpec.from_dict({"p_min": 0.1})
 
     def test_axis_hits_decimal_landmarks_exactly(self):
         spec = GridSpec(

@@ -185,6 +185,13 @@ class TestMcCorrelationMatrix:
         )
         assert s.off_diagonal_mean == pytest.approx(0.3, abs=0.01)
 
+    def test_arrays_are_read_only(self):
+        s = mc_correlation_matrix(Independent(), 4, 0.5, 10_000, RngSeed(seed=73))
+        assert s.correlation.shape == (4, 4) and s.lag_means.shape == (3,)
+        for array in (s.correlation, s.lag_means):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_degenerate_variance_raises(self):
         # rate so extreme no position ever votes 1 in 1e4 draws
         with pytest.raises(DegenerateVariance):

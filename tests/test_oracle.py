@@ -140,6 +140,15 @@ class TestVotePmf:
         with pytest.raises(ValueError):
             pmf.mass[0] = 1.0
 
+    def test_tolerated_negatives_and_subnormals_read_zero_in_a_copy(self):
+        given = np.array([0.5, -1e-13, -0.0, 5e-324, 0.5 + 1e-13])
+        pmf = VotePmf(n=4, mass=given)
+        assert pmf.mass.tolist() == [0.5, 0.0, 0.0, 0.0, 0.5 + 1e-13]
+        assert not np.signbit(pmf.mass).any()
+        assert given.tolist() == [0.5, -1e-13, -0.0, 5e-324, 0.5 + 1e-13]
+        assert np.signbit(given[2]) and given.flags.writeable
+        assert not pmf.mass.flags.writeable
+
     def test_tails_are_complementary(self):
         pmf = exact_vote_pmf(Independent(), 9, 0.35)
         for k in range(-1, 10):

@@ -158,10 +158,10 @@ def _mean_pairwise_correlation(block: np.ndarray) -> tuple:
     m = block.shape[1]
     if block.shape[0] < 2 or m < 2:
         return float("nan"), None, []
-    data = block.astype(np.float64)
-    constant = np.flatnonzero(data.std(axis=0) == 0.0).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(data, rowvar=False)
+        corr = np.corrcoef(block, rowvar=False)
+    # Only a zero-variance column gives 0/0 on the diagonal.
+    constant = np.flatnonzero(np.isnan(np.diag(corr))).tolist()
     off = corr[~np.eye(m, dtype=bool)]
     valid = off[~np.isnan(off)]
     mean = float(valid.mean()) if valid.size else float("nan")

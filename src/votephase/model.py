@@ -464,11 +464,12 @@ class GridSpec:
             lo, hi = _as_float(lo, f"{name}_min"), _as_float(hi, f"{name}_max")
             span = Decimal(repr(hi)) - Decimal(repr(lo))
             count = span / step_d
-            if count != count.to_integral_value() or count < 0:
+            if count != count.to_integral_value():
                 raise BadParameter(
                     f"{name}-axis span {span} is not a whole multiple of step {step_d}"
                 )
-            resolutions.append(int(count) + 1)
+            # A reversed or out-of-range axis is left to __post_init__.
+            resolutions.append(abs(int(count)) + 1)
         return cls(
             p_min=p_min,
             p_max=p_max,

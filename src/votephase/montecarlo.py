@@ -177,11 +177,8 @@ class CorrelationSummary:
     and ``lag_means`` (n - 1) read-only.
     """
 
-    n: int
-    reps: int
     correlation: np.ndarray
     lag_means: np.ndarray
-    off_diagonal_mean: float
 
 
 def mc_correlation_matrix(
@@ -198,8 +195,7 @@ def mc_correlation_matrix(
     moments are computed in float32, which holds them exactly: each is
     a count of at most CHUNK_REPS < 2**24 ones. They are summed over
     chunks in float64. ``lag_means`` holds the mean correlation at each
-    positive lag (the gamma**k diagnostic); ``off_diagonal_mean``
-    averages all distinct pairs (the lambda diagnostic).
+    positive lag (the gamma**k diagnostic).
     """
     n = _ensemble_size(n, minimum=2, guard=CORR_SIZE_GUARD)
     reps = _as_size(reps, "reps", minimum=10_000)
@@ -228,11 +224,4 @@ def mc_correlation_matrix(
     lag_means = np.array([np.mean(np.diag(corr, k)) for k in range(1, n)])
     corr.flags.writeable = False
     lag_means.flags.writeable = False
-    off_mask = ~np.eye(n, dtype=bool)
-    return CorrelationSummary(
-        n=n,
-        reps=reps,
-        correlation=corr,
-        lag_means=lag_means,
-        off_diagonal_mean=float(corr[off_mask].mean()),
-    )
+    return CorrelationSummary(correlation=corr, lag_means=lag_means)

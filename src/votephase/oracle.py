@@ -62,7 +62,8 @@ GEOMETRIC_SIZE_GUARD = 100_000
 BINOMIAL_SIZE_GUARD = 10**7
 
 # 2**n vectors, each vote doubling the time; at 20 one brute force
-# takes under 0.1 s on a 2-vCPU Xeon VM.
+# takes under 0.1 s on a 2-vCPU Xeon VM. A vector holds at most 20
+# ones and twice that is 40, so ``brute_force_error`` counts in uint8.
 BRUTE_FORCE_SIZE_GUARD = 20
 
 # A geometric pair of pmfs at this n or above is computed on two
@@ -104,29 +105,16 @@ class VotePmf:
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
 
-    @property
-    def mean(self) -> float:
-        return float(np.arange(self.n + 1) @ self.mass)
-
-    @property
-    def variance(self) -> float:
-        k = np.arange(self.n + 1)
-        m = self.mean
-        return float(((k - m) ** 2) @ self.mass)
-
     # A partial sum of normalized masses can round to 1 + 1 ulp; a
-    # probability is capped at 1.
+    # probability is capped at 1. The slice bound is clamped at 0 so a
+    # negative k cannot wrap; a bound past n gives an empty sum, 0.0.
     def cdf_at(self, k: int) -> float:
         """P(g <= k), summed directly over the lower masses."""
-        if k < 0:
-            return 0.0
-        return min(1.0, float(self.mass[: min(k, self.n) + 1].sum()))
+        return min(1.0, float(self.mass[: max(k + 1, 0)].sum()))
 
     def upper_tail(self, k: int) -> float:
         """P(g > k), summed over the upper masses (no 1 - cdf cancellation)."""
-        if k >= self.n:
-            return 0.0
-        return min(1.0, float(self.mass[max(k, -1) + 1 :].sum()))
+        return min(1.0, float(self.mass[max(k + 1, 0) :].sum()))
 
 
 def binomial_pmf(n: int, rate: float) -> np.ndarray:
@@ -339,10 +327,11 @@ def _vector_probabilities(
     independent = rate**ones * (1.0 - rate) ** (n - ones)
     if isinstance(model, Independent):
         return independent
-    # Equicorrelated
+    # Equicorrelated: the shared coin gives only the all-zeros vector
+    # (index 0) and the all-ones vector (index -1).
     shared = np.zeros(len(ones))
-    shared[ones == n] = rate
-    shared[ones == 0] = 1.0 - rate
+    shared[-1] = rate
+    shared[0] = 1.0 - rate
     return model.lam * shared + (1.0 - model.lam) * independent
 
 
@@ -358,7 +347,7 @@ def brute_force_error(cfg: EnsembleConfig) -> float:
             f"brute force enumerates 2^n vectors; n={n} exceeds guard "
             f"{BRUTE_FORCE_SIZE_GUARD}"
         )
-    ones = np.zeros(1, dtype=np.int64)
+    ones = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         ones = np.concatenate([ones, ones + 1])
     majority_one = 2 * ones > n

@@ -55,14 +55,22 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "votephase"
+
+
+def package_lines(root: Path = PACKAGE) -> dict:
+    """Code lines of each module in ``root``, keyed by file name."""
+    return {
+        path.name: code_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(root.glob("*.py"))
+    }
+
+
 def main(argv: list) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "votephase"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:5d} {path.name}")
-    print(f"{total:5d} total")
+    counts = package_lines(Path(argv[0])) if argv else package_lines()
+    for name, count in counts.items():
+        print(f"{count:5d} {name}")
+    print(f"{sum(counts.values()):5d} total")
     return 0
 
 

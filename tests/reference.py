@@ -136,6 +136,25 @@ def markov_sum_pmf_dp(n: int, rate: float, model: Geometric) -> np.ndarray:
     return out
 
 
+def pmf_mean(pmf) -> float:
+    """Mean of a ``VotePmf``'s vote sum."""
+    return float(np.arange(pmf.n + 1) @ pmf.mass)
+
+
+def pmf_variance(pmf) -> float:
+    """Variance of a ``VotePmf``'s vote sum."""
+    k = np.arange(pmf.n + 1)
+    m = pmf_mean(pmf)
+    return float(((k - m) ** 2) @ pmf.mass)
+
+
+def off_diagonal_mean(correlation: np.ndarray) -> float:
+    """Mean over all distinct pairs of a correlation matrix (the lambda
+    diagnostic of ``mc_correlation_matrix``)."""
+    off_mask = ~np.eye(correlation.shape[0], dtype=bool)
+    return float(correlation[off_mask].mean())
+
+
 def sample_labeled_votes(
     cfg: EnsembleConfig, count: int, rng: np.random.Generator
 ) -> tuple:

@@ -534,6 +534,27 @@ class TestPhaseGrid:
         )
         assert code == 1 and "mutually exclusive" in err
 
+    _REVERSED = ["--p-min", "0.6", "--p-max", "0.4", "--q-min", "0.1", "--q-max", "0.9"]
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ([*_REVERSED, "--step", "0.1"], "p-axis requires min < max, got [0.6, 0.4]"),
+            ([*_REVERSED, "--resolution", "3"], "p-axis requires min < max, got [0.6, 0.4]"),
+            (["--p-min", "1.5", "--step", "0.01"], "p_min must lie strictly inside (0, 1), got 1.5"),
+            (["--p-min", "1.5", "--resolution", "3"], "p_min must lie strictly inside (0, 1), got 1.5"),
+            (["--step", "0"], "step must be positive, got 0.0"),
+            (["--step", "-0.1"], "step must be positive, got -0.1"),
+        ],
+        ids=["reversed-step", "reversed-resolution", "out-of-range-step",
+             "out-of-range-resolution", "step-0", "step-negative"],
+    )
+    def test_axis_errors(self, capsys, axes, message):
+        # A step that divides a reversed or out-of-range span evenly gets
+        # the same axis error as --resolution, not a divisibility one.
+        code, out, err = _run(capsys, ["phase-grid", "--pi", "0.5", *axes])
+        assert (code, out, err) == (1, "", f"votephase: error: {message}\n")
+
     def test_axis_spec_required(self, capsys):
         code, _, err = _run(capsys, ["phase-grid", "--pi", "0.5"])
         assert code == 1 and "--step or --resolution" in err

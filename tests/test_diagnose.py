@@ -185,6 +185,11 @@ class TestDiagnose:
         )
         report = diagnose(PredictionMatrix(labels=labels, votes=votes))
         assert any("constantly" in w for w in report.warnings)
+        assert report.warnings[:2] == [
+            f"class {cls}: classifiers [0] vote constantly within the class; "
+            "their pairs are excluded from correlation averages"
+            for cls in (1, 0)
+        ]
 
     def test_verdict_matches_limiting_delta_at_estimates(self):
         report = diagnose(_synthetic(0.8, 0.2, seed=41))

@@ -12,6 +12,7 @@ named in README.md: helpers only the tests use live in ``tests/``.
 """
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import votephase
+from votephase.montecarlo import CorrelationSummary
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "votephase").glob("*.py"))
@@ -184,3 +186,13 @@ def test_closed_form_modules_name_no_model_class(name):
 def test_one_module_rejects_an_unknown_model():
     holders = [path.name for path in PACKAGE if "unknown correlation model" in path.read_text()]
     assert holders == ["model.py"]
+
+
+def test_result_types_hold_only_what_src_and_the_benchmark_read():
+    # Members that only tests read live in tests/reference.py.
+    pmf = votephase.exact_vote_pmf(votephase.Independent(), 3, 0.5)
+    assert {name for name in dir(pmf) if not name.startswith("_")} == {
+        "n", "mass", "cdf_at", "upper_tail"
+    }
+    fields = {field.name for field in dataclasses.fields(CorrelationSummary)}
+    assert fields == {"correlation", "lag_means"}

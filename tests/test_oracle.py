@@ -39,7 +39,7 @@ from votephase.oracle import (
     exact_error,
     exact_vote_pmf,
 )
-from reference import markov_sum_pmf_dp
+from reference import markov_sum_pmf_dp, pmf_mean, pmf_variance
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)
@@ -151,10 +151,15 @@ class TestVotePmf:
 
     def test_tails_are_complementary(self):
         pmf = exact_vote_pmf(Independent(), 9, 0.35)
-        for k in range(-1, 10):
+        for k in range(-5, 14):
             assert pmf.cdf_at(k) + pmf.upper_tail(k) == pytest.approx(1.0, abs=1e-12)
         assert pmf.cdf_at(-1) == 0.0
         assert pmf.upper_tail(9) == 0.0
+        # Below -1 a bare negative slice bound would wrap without error.
+        assert pmf.cdf_at(-5) == 0.0
+        assert pmf.upper_tail(-5) == pmf.upper_tail(-1)
+        assert pmf.cdf_at(13) == pmf.cdf_at(9)
+        assert pmf.upper_tail(13) == 0.0
 
 
 class TestExactVotePmf:
@@ -191,8 +196,8 @@ class TestExactVotePmf:
     def test_mean_and_variance_per_model(self, n, r, gamma, lam):
         for model in (Independent(), Geometric(gamma=gamma), Equicorrelated(lam=lam)):
             pmf = exact_vote_pmf(model, n, r)
-            assert pmf.mean == pytest.approx(n * r, rel=1e-10, abs=1e-12)
-            assert pmf.variance == pytest.approx(
+            assert pmf_mean(pmf) == pytest.approx(n * r, rel=1e-10, abs=1e-12)
+            assert pmf_variance(pmf) == pytest.approx(
                 sum_variance(model, n, r), rel=1e-9, abs=1e-12
             )
 
@@ -310,8 +315,8 @@ class TestGeometricLargeN:
     @pytest.mark.parametrize("n, rate, gamma", LARGE_GEOMETRIC)
     def test_moments(self, n, rate, gamma):
         pmf = _cached_pmf(Geometric(gamma=gamma), n, rate)
-        assert pmf.mean == pytest.approx(n * rate, rel=1e-11)
-        assert pmf.variance == pytest.approx(
+        assert pmf_mean(pmf) == pytest.approx(n * rate, rel=1e-11)
+        assert pmf_variance(pmf) == pytest.approx(
             sum_variance(Geometric(gamma=gamma), n, rate), rel=1e-11
         )
 

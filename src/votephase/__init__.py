@@ -10,6 +10,8 @@ The package exports what README documents; every other function is
 importable from its own module.
 """
 
+import types as _types
+
 from .analytic import Phase, PhaseVerdict, Side, delta, estimated_error, limiting_delta
 from .diagnose import (
     DiagnosisReport,
@@ -60,50 +62,9 @@ from .sampler import RngSeed
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASYMPTOTIC",
-    "BINOMIAL_SIZE_GUARD",
-    "BRUTE_FORCE_SIZE_GUARD",
-    "BadParameter",
-    "BadSize",
-    "CORR_SIZE_GUARD",
-    "CorrelationModel",
-    "DegenerateVariance",
-    "DiagnosisReport",
-    "EnsembleConfig",
-    "Equicorrelated",
-    "GEOMETRIC_SIZE_GUARD",
-    "GRID_CELL_GUARD",
-    "Geometric",
-    "GridRow",
-    "GridSpec",
-    "Independent",
-    "MC_REPS_GUARD",
-    "MC_SIZE_GUARD",
-    "McEstimate",
-    "NonBinaryEntry",
-    "Phase",
-    "PhaseVerdict",
-    "PredictionMatrix",
-    "Prior",
-    "RateOutOfRange",
-    "RatePair",
-    "RngSeed",
-    "Side",
-    "SingleClassData",
-    "SizeGuardExceeded",
-    "VotePhaseError",
-    "VotePmf",
-    "brute_force_error",
-    "delta",
-    "diagnose",
-    "estimated_error",
-    "exact_error",
-    "exact_vote_pmf",
-    "limiting_delta",
-    "mc_conditional_error",
-    "mc_correlation_matrix",
-    "mc_error",
-    "read_prediction_csv",
-    "sweep",
-]
+# Every name imported above, less the submodules those imports bind.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

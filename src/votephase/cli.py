@@ -119,11 +119,14 @@ def _flags(names) -> str:
     return ", ".join(f"--{name}" for name in sorted(names))
 
 
-def _model_dict(args: argparse.Namespace, file_model: Union[dict, None]) -> dict:
-    """Merge model flags over a config-file model, rejecting mismatches.
+def _model_dict(args: argparse.Namespace, config: dict) -> dict:
+    """Merge model flags over the config file's "model", rejecting mismatches.
 
-    With neither a model flag nor a file model, the model is independent.
+    With neither a model flag nor a "model" key, the model is independent.
+    A "model" key that is present, even as null, is left for
+    ``model_from_dict`` to check.
     """
+    file_model = config.get("model")
     # Each model's parameter has the flag --<param>, stored as args.<param>.
     params = (cls.param for cls in MODELS.values() if cls.param is not None)
     given = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
@@ -131,7 +134,7 @@ def _model_dict(args: argparse.Namespace, file_model: Union[dict, None]) -> dict
     kind = args.model
     if kind is None:
         if not given:
-            return {"kind": "independent"} if file_model is None else file_model
+            return config.get("model", {"kind": "independent"})
         if not from_file:
             raise BadParameter(f"model flags {_flags(given)} require --model or a config-file model")
         kind = file_model["kind"]
@@ -151,7 +154,8 @@ def _merged(args: argparse.Namespace, keys: dict) -> dict:
     """
     base, path = {}, args.config
     if path:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as diagnose --input does.
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 base = json.load(fh)
             except UnicodeDecodeError as exc:
@@ -166,7 +170,7 @@ def _merged(args: argparse.Namespace, keys: dict) -> dict:
         raise BadParameter(f"{path}: unknown config keys {', '.join(map(repr, stray))}")
     merged = dict(base)
     merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
-    merged["model"] = _model_dict(args, base.get("model"))
+    merged["model"] = _model_dict(args, base)
     return merged
 
 

@@ -500,15 +500,12 @@ class GridSpec:
         missing = required - set(data)
         if missing:
             raise BadParameter(f"grid spec missing keys: {sorted(missing)}")
-        res = data["resolution"]
-        if isinstance(res, list):
-            res = tuple(res)
         return cls(
             p_min=data["p_min"],
             p_max=data["p_max"],
             q_min=data["q_min"],
             q_max=data["q_max"],
-            resolution=res,
+            resolution=data["resolution"],
             n=data["n"],
             prior=Prior(pi=data["pi"]),
             model=model_from_dict(data["model"]),

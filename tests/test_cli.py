@@ -252,6 +252,21 @@ class TestConfigMerging:
         assert code == 1 and out == ""
         assert err.startswith("votephase: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand", ["analytic", "phase-grid"])
+    def test_null_config_model_is_not_read_as_independent(self, capsys, tmp_path, subcommand):
+        config = {"pi": 0.5, "model": None}
+        config.update({"n": 11, "p": 0.6, "q": 0.4} if subcommand == "analytic" else {"resolution": 3})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [subcommand, "--config", str(path), "--dump-config"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "votephase: error: correlation model must be a dict with 'kind', got None\n"
+        # --model replaces a null file model, as it replaces one of another kind
+        code, out, _ = _run(capsys, [*argv, "--model", "geometric", "--gamma", "0.5"])
+        assert code == 0
+        assert json.loads(out)["model"] == {"kind": "geometric", "gamma": 0.5}
+
     def test_removed_flag_is_one_line_usage_error(self, capsys):
         code, out, err = _run(
             capsys, ["analytic", *BASE, "--model", "independent", "--beta-concentration", "5"]
@@ -293,6 +308,16 @@ class TestConfigMerging:
         code, out, err = _run(capsys, [subcommand, "--config", str(path)])
         assert code == 1 and out == ""
         assert err.startswith(f"votephase: error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand", ["analytic", "phase-grid"])
+    def test_config_byte_order_mark_is_dropped(self, capsys, tmp_path, subcommand):
+        config = {"pi": 0.5, "model": {"kind": "geometric", "gamma": 0.5}}
+        config.update({"n": 11, "p": 0.6, "q": 0.4} if subcommand == "analytic" else {"resolution": 3})
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(config))
+        marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(config).encode())
+        results = [_run(capsys, [subcommand, "--config", str(path)]) for path in (plain, marked)]
+        assert results[0][0] == 0 and results[1] == results[0]
 
     @pytest.mark.parametrize(
         "subcommand, extra",

@@ -3,7 +3,8 @@
 ``votephase/__init__.py`` is left out of the import scan: it imports
 names to re-export them. ``from __future__`` imports change the
 compiler, not the namespace, and are left out too. The ``__all__`` of
-``__init__.py`` must list exactly the names it imports.
+``__init__.py`` must list exactly the names it imports, and export no
+module and no class or function defined outside the package.
 
 A private module-level name must be read by some module. A public one
 in ``src/votephase`` must be read by some module there or be named in
@@ -17,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,18 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert len(votephase.__all__) == len(set(votephase.__all__))
     assert set(votephase.__all__) == set(imported)
+
+
+def test_exports_are_package_objects_and_no_module():
+    # __all__ is derived from __init__.py's globals, so a stray import
+    # there (say, `from typing import Any`) would otherwise be exported.
+    exported = {name: getattr(votephase, name) for name in votephase.__all__}
+    assert [name for name, value in exported.items() if isinstance(value, types.ModuleType)] == []
+    assert [
+        name
+        for name, value in exported.items()
+        if callable(value) and not value.__module__.startswith("votephase.")
+    ] == []
 
 
 def test_diagnose_stays_the_function_after_its_module_is_imported():

@@ -356,6 +356,13 @@ class TestGridSpec:
         ):
             assert GridSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_reads_a_json_resolution_pair_as_written(self):
+        data = {**self._spec().to_dict(), "resolution": [3, 5]}
+        assert GridSpec.from_dict(data).resolution == (3, 5)
+        data["resolution"] = [3]
+        with pytest.raises(BadSize, match=re.escape("pair, got [3]")):
+            GridSpec.from_dict(data)
+
     @given(
         lo=st.decimals(min_value="0.01", max_value="0.40", places=2),
         hi=st.decimals(min_value="0.60", max_value="0.99", places=2),

@@ -13,7 +13,7 @@ file, and any other key is an error. Each spec's flags are exactly its
 config keys: one table per spec lists them, and a key ``p_min`` is the
 flag --p-min (the model's kind and parameter are --model and
 --<param>). --step, --pmf, --reps, --seed, --stream and --conditional
-are flags only.
+are flags only; --step is turned into the config's resolution.
 Exit status: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -23,8 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
-from operator import itemgetter
 from typing import Union
 
 from . import analytic, grid, montecarlo, oracle
@@ -38,11 +36,9 @@ from .model import (
     Prior,
     VotePhaseError,
     model_class,
-    model_from_dict,
+    step_resolution,
 )
 from .sampler import RngSeed
-
-GRID_CSV_HEADER = ",".join(f.name for f in fields(grid.GridRow))
 
 
 def _grid_size(text: str):
@@ -123,8 +119,8 @@ def _model_dict(args: argparse.Namespace, config: dict) -> dict:
     """Merge model flags over the config file's "model", rejecting mismatches.
 
     With neither a model flag nor a "model" key, the model is independent.
-    A "model" key that is present, even as null, is left for
-    ``model_from_dict`` to check.
+    A "model" key that is present, even as null, is left for the
+    spec's ``from_dict`` to check.
     """
     file_model = config.get("model")
     # Each model's parameter has the flag --<param>, stored as args.<param>.
@@ -186,15 +182,14 @@ def _grid(args: argparse.Namespace) -> GridSpec:
     merged = {**_GRID_DEFAULTS, **_merged(args, _GRID_FLAGS)}
     if "pi" not in merged:
         raise BadParameter("missing required parameter: pi")
-    if args.step is None:
-        if "resolution" not in merged:
-            raise BadParameter("one of --step or --resolution is required")
-        return GridSpec.from_dict(merged)
-    if args.resolution is not None:
-        raise BadParameter("--step and --resolution are mutually exclusive")
-    kwargs = {key: merged[key] for key in ("p_min", "p_max", "q_min", "q_max", "n")}
-    prior, model = Prior(pi=merged["pi"]), model_from_dict(merged["model"])
-    return GridSpec.from_step(**kwargs, step=args.step, prior=prior, model=model)
+    if args.step is not None:
+        if "resolution" in merged:
+            raise BadParameter("--step and --resolution are mutually exclusive")
+        axes = (merged[key] for key in ("p_min", "p_max", "q_min", "q_max"))
+        merged["resolution"] = step_resolution(*axes, args.step)
+    elif "resolution" not in merged:
+        raise BadParameter("one of --step or --resolution is required")
+    return GridSpec.from_dict(merged)
 
 
 def _row_fields(row: grid.GridRow) -> dict:
@@ -249,8 +244,7 @@ def _simulate(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
 
 def _phase_grid(args: argparse.Namespace, spec: GridSpec) -> tuple:
     rows = [_row_fields(r) for r in grid.sweep(spec)]
-    header = GRID_CSV_HEADER.split(",")
-    return {"spec": spec.to_dict(), "rows": rows}, [header, *map(itemgetter(*header), rows)]
+    return {"spec": spec.to_dict(), "rows": rows}, [list(rows[0]), *(r.values() for r in rows)]
 
 
 def _diagnose(args: argparse.Namespace, spec: None) -> tuple:

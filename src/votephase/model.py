@@ -353,6 +353,30 @@ GRID_CELL_GUARD = 10**6
 _GridSize = Union[int, str]
 
 
+def step_resolution(p_min: Any, p_max: Any, q_min: Any, q_max: Any, step: Any) -> tuple:
+    """The (p_axis, q_axis) point counts of a grid with a common axis step.
+
+    Each axis span must be an exact whole multiple of the step in
+    decimal arithmetic; otherwise the grid would silently miss its
+    stated endpoint.
+    """
+    step_d = Decimal(repr(_as_float(step, "step")))
+    if step_d <= 0:
+        raise BadParameter(f"step must be positive, got {step!r}")
+    resolutions = []
+    for name, lo, hi in (("p", p_min, p_max), ("q", q_min, q_max)):
+        lo, hi = _as_float(lo, f"{name}_min"), _as_float(hi, f"{name}_max")
+        span = Decimal(repr(hi)) - Decimal(repr(lo))
+        count = span / step_d
+        if count != count.to_integral_value():
+            raise BadParameter(
+                f"{name}-axis span {span} is not a whole multiple of step {step_d}"
+            )
+        # A reversed or out-of-range axis is left to GridSpec.__post_init__.
+        resolutions.append(abs(int(count)) + 1)
+    return tuple(resolutions)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular sweep over the (p, q) unit square.
@@ -450,32 +474,14 @@ class GridSpec:
         prior: Prior,
         model: CorrelationModel = Independent(),
     ) -> "GridSpec":
-        """Build a spec from a common axis step instead of a count.
-
-        Each axis span must be an exact whole multiple of the step in
-        decimal arithmetic; otherwise the grid would silently miss its
-        stated endpoint.
-        """
-        step_d = Decimal(repr(_as_float(step, "step")))
-        if step_d <= 0:
-            raise BadParameter(f"step must be positive, got {step!r}")
-        resolutions = []
-        for name, lo, hi in (("p", p_min, p_max), ("q", q_min, q_max)):
-            lo, hi = _as_float(lo, f"{name}_min"), _as_float(hi, f"{name}_max")
-            span = Decimal(repr(hi)) - Decimal(repr(lo))
-            count = span / step_d
-            if count != count.to_integral_value():
-                raise BadParameter(
-                    f"{name}-axis span {span} is not a whole multiple of step {step_d}"
-                )
-            # A reversed or out-of-range axis is left to __post_init__.
-            resolutions.append(abs(int(count)) + 1)
+        """Build a spec from a common axis step instead of a count; see
+        ``step_resolution``."""
         return cls(
             p_min=p_min,
             p_max=p_max,
             q_min=q_min,
             q_max=q_max,
-            resolution=tuple(resolutions),
+            resolution=step_resolution(p_min, p_max, q_min, q_max, step),
             n=n,
             prior=prior,
             model=model,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,13 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votephase import analytic, montecarlo, oracle
-from votephase.cli import GRID_CSV_HEADER, main
+from votephase.cli import main
 from votephase.diagnose import read_prediction_csv
+from votephase.grid import GridRow
 from votephase.model import (
+    ASYMPTOTIC,
     GRID_CELL_GUARD,
     EnsembleConfig,
+    Equicorrelated,
     Geometric,
     GridSpec,
+    Independent,
     Prior,
     RatePair,
 )
@@ -27,6 +32,7 @@ from votephase.sampler import RngSeed
 
 from reference import parse_outcome
 
+GRID_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(GridRow))
 BASE = ["--n", "15", "--p", "0.7", "--q", "0.3", "--pi", "0.5"]
 # a valid value for each config key, other than BASE's and phase-grid's defaults
 _OTHER_VALUES = {
@@ -552,12 +558,53 @@ class TestPhaseGrid:
         assert len(payload["rows"]) == 25
         assert payload["spec"]["n"] == 25
 
-    def test_step_and_resolution_conflict(self, capsys):
-        code, _, err = _run(
-            capsys,
-            ["phase-grid", "--step", "0.1", "--resolution", "5", "--pi", "0.5"],
+    _WHOLE_SQUARE = ["--p-min", "0.01", "--p-max", "0.99", "--q-min", "0.01", "--q-max", "0.99"]
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            (None, ["--pi", "0.5", "--resolution", "5", "--step", "0.1"]),
+            ({"pi": 0.5, "resolution": 3}, [*_WHOLE_SQUARE, "--step", "0.14", "--dump-config"]),
+            ("step-dump", ["--step", "0.14"]),
+        ],
+        ids=["flag", "config-file", "step-dump"],
+    )
+    def test_step_and_resolution_conflict(self, capsys, tmp_path, config, flags):
+        # A resolution in the config file conflicts with --step as the flag
+        # does, and the dump of a --step run already holds one.
+        path = tmp_path / "cfg.json"
+        if config == "step-dump":
+            code, dumped, _ = _run(capsys, ["phase-grid", "--pi", "0.5", *flags, "--dump-config"])
+            assert code == 0 and "resolution" in json.loads(dumped)
+            path.write_text(dumped)
+        elif config is not None:
+            path.write_text(json.dumps(config))
+        argv = ["phase-grid", *(["--config", str(path)] if config else []), *flags]
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (
+            1, "", "votephase: error: --step and --resolution are mutually exclusive\n"
         )
-        assert code == 1 and "mutually exclusive" in err
+
+    @pytest.mark.parametrize(
+        "axes, step, n, model",
+        [
+            ((0.01, 0.99, 0.01, 0.99), "0.01", ASYMPTOTIC, Independent()),
+            ((0.2, 0.4, 0.1, 0.9), "0.1", 10, Independent()),
+            ((0.1, 0.9, 0.5, 0.5), "0.2", ASYMPTOTIC, Geometric(gamma=0.8)),
+            ((0.05, 0.95, 0.25, 0.75), "0.05", 51, Equicorrelated(lam=0.3)),
+        ],
+        ids=["99x99", "3x9", "5x1", "19x11"],
+    )
+    def test_step_dump_matches_from_step(self, capsys, axes, step, n, model):
+        argv = ["phase-grid", "--pi", "0.4", "--n", str(n), "--step", step]
+        for flag, value in zip(["--p-min", "--p-max", "--q-min", "--q-max"], axes):
+            argv += [flag, str(value)]
+        for key, value in model.to_dict().items():
+            argv += ["--model" if key == "kind" else f"--{key}", str(value)]
+        code, out, err = _run(capsys, [*argv, "--dump-config"])
+        assert (code, err) == (0, "")
+        spec = GridSpec.from_step(*axes, float(step), n, Prior(pi=0.4), model)
+        assert json.loads(out) == spec.to_dict()
 
     _REVERSED = ["--p-min", "0.6", "--p-max", "0.4", "--q-min", "0.1", "--q-max", "0.9"]
 
@@ -570,13 +617,15 @@ class TestPhaseGrid:
             (["--p-min", "1.5", "--resolution", "3"], "p_min must lie strictly inside (0, 1), got 1.5"),
             (["--step", "0"], "step must be positive, got 0.0"),
             (["--step", "-0.1"], "step must be positive, got -0.1"),
+            (["--pi", "2", "--step", "0"], "step must be positive, got 0.0"),
         ],
         ids=["reversed-step", "reversed-resolution", "out-of-range-step",
-             "out-of-range-resolution", "step-0", "step-negative"],
+             "out-of-range-resolution", "step-0", "step-negative", "step-before-pi"],
     )
     def test_axis_errors(self, capsys, axes, message):
         # A step that divides a reversed or out-of-range span evenly gets
-        # the same axis error as --resolution, not a divisibility one.
+        # the same axis error as --resolution, not a divisibility one. A
+        # bad step is reported before a bad pi (a later --pi wins).
         code, out, err = _run(capsys, ["phase-grid", "--pi", "0.5", *axes])
         assert (code, out, err) == (1, "", f"votephase: error: {message}\n")
 

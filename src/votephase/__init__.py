@@ -7,10 +7,13 @@ Carlo, grid sweeps over the (p, q) square, and diagnosis of real
 prediction matrices.
 
 The package exports what README documents; every other function is
-importable from its own module.
+importable from its own module. Importing the package loads neither
+numpy nor the oracle, Monte Carlo and sampler modules: their exports
+are listed in ``_LAZY`` and import their module on first access.
 """
 
 import types as _types
+from importlib import import_module as _import_module
 
 from .analytic import Phase, PhaseVerdict, Side, delta, estimated_error, limiting_delta
 from .diagnose import (
@@ -38,33 +41,43 @@ from .model import (
     RatePair,
     VotePhaseError,
 )
-from .montecarlo import (
-    CORR_SIZE_GUARD,
-    MC_REPS_GUARD,
-    MC_SIZE_GUARD,
-    DegenerateVariance,
-    McEstimate,
-    mc_conditional_error,
-    mc_correlation_matrix,
-    mc_error,
-)
-from .oracle import (
-    BINOMIAL_SIZE_GUARD,
-    BRUTE_FORCE_SIZE_GUARD,
-    GEOMETRIC_SIZE_GUARD,
-    SizeGuardExceeded,
-    VotePmf,
-    brute_force_error,
-    exact_error,
-    exact_vote_pmf,
-)
-from .sampler import RngSeed
 
 __version__ = "0.1.0"
 
-# Every name imported above, less the submodules those imports bind.
+# Exports of the numpy-backed modules, name -> module; see __getattr__.
+_LAZY = {
+    **dict.fromkeys(
+        ["CORR_SIZE_GUARD", "MC_REPS_GUARD", "MC_SIZE_GUARD", "DegenerateVariance", "McEstimate"]
+        + ["mc_conditional_error", "mc_correlation_matrix", "mc_error"],
+        "montecarlo",
+    ),
+    **dict.fromkeys(
+        ["BINOMIAL_SIZE_GUARD", "BRUTE_FORCE_SIZE_GUARD", "GEOMETRIC_SIZE_GUARD", "SizeGuardExceeded"]
+        + ["VotePmf", "brute_force_error", "exact_error", "exact_vote_pmf"],
+        "oracle",
+    ),
+    "RngSeed": "sampler",
+}
+
+# Every name imported above, less the submodules those imports bind, plus
+# the lazy exports.
 __all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+    ]
+    + list(_LAZY)
 )
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the module does not hold, so the
+    # eager exports and loaded submodules never reach it.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

@@ -15,6 +15,11 @@ flag --p-min (the model's kind and parameter are --model and
 --<param>). --step, --pmf, --reps, --seed, --stream and --conditional
 are flags only; --step is turned into the config's resolution.
 Exit status: 0 success, 1 validation/usage error, 2 I/O error.
+
+Each subcommand imports only the layers it computes with. analytic and
+phase-grid compute with ``math`` and never load numpy; oracle and
+simulate import their module inside ``compute``, and diagnose loads
+numpy when it parses the CSV.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import sys
 from typing import Union
 
-from . import analytic, grid, montecarlo, oracle
+from . import analytic, grid
 from .diagnose import diagnose as run_diagnose, format_report, read_prediction_csv
 from .model import (
     ASYMPTOTIC,
@@ -38,7 +43,6 @@ from .model import (
     model_class,
     step_resolution,
 )
-from .sampler import RngSeed
 
 
 def _grid_size(text: str):
@@ -219,6 +223,8 @@ def _analytic(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
 
 
 def _oracle(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
+    from . import oracle
+
     pmf_p, pmf_q = oracle.class_pmfs(cfg)
     err = oracle.error_from_pmfs(pmf_p, pmf_q, cfg.prior.pi)
     payload: dict = {"config": cfg.to_dict(), "err_exact": err}
@@ -232,6 +238,9 @@ def _oracle(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
 
 
 def _simulate(args: argparse.Namespace, cfg: EnsembleConfig) -> tuple:
+    from . import montecarlo
+    from .sampler import RngSeed
+
     seed = RngSeed(seed=args.seed, stream=args.stream)
     if args.conditional is None:
         estimate = montecarlo.mc_error(cfg, args.reps, seed)

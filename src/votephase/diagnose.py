@@ -13,6 +13,9 @@ rate estimates at the {0, 1} boundary (clamped before the verdict),
 rate estimates within two standard errors of the 1/2 phase boundary,
 and mean within-class correlation at or above 0.5, where the weak
 dependence behind the asymptotic limit is no longer credible.
+
+The package imports this module eagerly, so numpy is imported inside
+the functions that compute with arrays, not at module level.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import os
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Union
-
-import numpy as np
 
 from .analytic import PhaseVerdict, _individual_error, limiting_delta
 from .model import (
@@ -60,6 +61,8 @@ class PredictionMatrix:
     votes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         labels = np.asarray(self.labels)
         votes = np.asarray(self.votes)
         if labels.ndim != 1 or votes.ndim != 2 or votes.shape[0] != labels.shape[0]:
@@ -120,6 +123,8 @@ class DiagnosisReport:
         """JSON-ready fields, converted by kind: an array becomes a list,
         a float or array entry that is not finite becomes None, a None
         field is left out, and the verdict becomes a dict."""
+        import numpy as np
+
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -155,6 +160,8 @@ def _mean_pairwise_correlation(block: np.ndarray) -> tuple:
     matrix, list of constant column indices); mean is nan when no
     valid pair exists.
     """
+    import numpy as np
+
     m = block.shape[1]
     if block.shape[0] < 2 or m < 2:
         return float("nan"), None, []
@@ -179,10 +186,12 @@ def _ensemble_mean_std_error(block: np.ndarray) -> float:
     row_means = block.mean(axis=1)
     if row_means.shape[0] < 2:
         return float("nan")
-    return float(row_means.std(ddof=1) / np.sqrt(row_means.shape[0]))
+    return float(row_means.std(ddof=1) / math.sqrt(row_means.shape[0]))
 
 
 def _lag_means(corr: Union[np.ndarray, None]) -> Union[np.ndarray, None]:
+    import numpy as np
+
     if corr is None:
         return None
     m = corr.shape[0]
@@ -206,6 +215,8 @@ def diagnose(
     classifier columns have a meaningful order, unlocking per-lag mean
     correlations for comparison against a gamma**k profile.
     """
+    import numpy as np
+
     votes = matrix.votes
     labels = matrix.labels
     warnings: list = []
@@ -331,6 +342,8 @@ def read_prediction_csv(
 
 def _parse_canonical(data: bytes) -> Union[PredictionMatrix, None]:
     """The matrix of a canonical file, or None for any other layout."""
+    import numpy as np
+
     head, _, body = data.partition(b"\n")
     if not head.isascii() or b'"' in head or b"\r" in head:
         return None
@@ -356,6 +369,8 @@ def _digit_matrix(digits: np.ndarray) -> PredictionMatrix:
 
 
 def _parse_csv(fh) -> PredictionMatrix:
+    import numpy as np
+
     reader = csv.reader(fh)
     try:
         header = next(reader)

@@ -7,7 +7,9 @@ votephase and run the benchmark's own unit tests.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -34,6 +36,7 @@ from votephase import (  # noqa: E402
     RngSeed,
     cli,
     montecarlo,
+    oracle,
 )
 
 
@@ -146,6 +149,64 @@ def test_one_mc_chunk_makes_the_spans_the_sampler_metrics_read(model, monkeypatc
     assert votes.shape == shape
     detail = dict((t[0], t[2]) for t in layers.TARGETS)["votephase.montecarlo.sample_matrix"]
     assert detail(args, kwargs, votes) == (model.kind, shape)
+
+
+def test_every_traced_span_is_reached(tmp_path, monkeypatch):
+    # A traced run reads each span name in layers.TARGETS from calls that
+    # go through the patched module global. A layer that binds its callee
+    # some other way (an import inside a function, say) is never seen, and
+    # its per-layer figure goes missing. Record every target, make the
+    # calls the three workloads make at small sizes, and check that each
+    # span name is reached and its detail can be computed.
+    recorded = {}
+    for target, span, detail in layers.TARGETS:
+        module, _, name = target.rpartition(".")
+        calls = _recorded(monkeypatch, importlib.import_module(module), name)
+        recorded[target] = (span, detail, calls)
+    rates, prior = RatePair(0.6, 0.4), Prior(workloads.PI)
+
+    # exact: layer_metrics keys the geometric pmf and binomial figures on
+    # the detail of the pmfs that exact_error itself computes
+    for model in (Geometric(workloads.GAMMA), Independent()):
+        oracle.exact_error(EnsembleConfig(21, rates, prior, model))
+    _, pmf_detail, pmfs = recorded["votephase.oracle.exact_vote_pmf"]
+    assert {pmf_detail(*call)[:2] for call in pmfs} == {("geometric", 21), ("independent", 21)}
+    _, binomial_detail, binomials = recorded["votephase.oracle.binomial_pmf"]
+    assert [binomial_detail(*call) for call in binomials] == [21, 21]
+    oracle.brute_force_error(EnsembleConfig(5, rates, prior, Geometric(workloads.GAMMA)))
+
+    # mc: the correlation matrix is called directly; mc_error comes from simulate
+    montecarlo.mc_correlation_matrix(Geometric(0.5), 4, 0.6, 10_000, RngSeed(seed=1))
+
+    # cli: the five subcommands in-process, as a traced cli cycle runs them
+    csv_path = tmp_path / "preds.csv"
+    csv_path.write_bytes(b"y,f1,f2\n1,1,0\n0,0,1\n1,1,1\n0,0,0\n")
+    ensemble = [
+        "--n", "9", "--p", "0.6", "--q", "0.4", "--pi", "0.5",
+        "--model", "geometric", "--gamma", repr(workloads.GAMMA),
+    ]
+    simulate = ["simulate", *ensemble, "--reps", "1000", "--seed", "1"]
+    argvs = [
+        ["analytic", *ensemble],
+        ["oracle", "--pmf", *ensemble],
+        simulate,
+        [*simulate, "--conditional", "1"],
+        ["phase-grid", "--resolution", "2", "--n", "9", "--pi", "0.5"],
+        ["diagnose", "--ordered", "--input", str(csv_path)],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+
+    # Counted per span name: grid.estimated_error and
+    # analytic.estimated_error share one, and the cli reaches only grid's.
+    reached: dict = {}
+    for span, detail, calls in recorded.values():
+        reached[span] = reached.get(span, 0) + len(calls)
+        if detail is not None:
+            for call in calls:
+                detail(*call)
+    assert [span for span, count in reached.items() if not count] == []
 
 
 def test_benchmark_csv_takes_the_bulk_parser(tmp_path, monkeypatch):

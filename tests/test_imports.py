@@ -14,6 +14,7 @@ named in README.md: helpers only the tests use live in ``tests/``.
 
 import ast
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import votephase
+from test_cli_golden import CASES, GOLDEN
 from votephase.montecarlo import CorrelationSummary
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,15 +147,24 @@ def test_every_exported_function_and_constant_is_named_in_readme():
 
 
 def test_all_lists_exactly_the_imported_names():
+    # The package imports some names from its modules eagerly and
+    # resolves the rest on first access through its lazy table.
     tree = ast.parse((ROOT / "src" / "votephase" / "__init__.py").read_text())
-    imported = [
+    eager = [
         alias.asname or alias.name
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
+    lazy = votephase._LAZY
     assert len(votephase.__all__) == len(set(votephase.__all__))
-    assert set(votephase.__all__) == set(imported)
+    assert sorted(votephase.__all__) == sorted([*eager, *lazy])
+    for name, module in lazy.items():
+        value = getattr(votephase, name)
+        assert value is getattr(sys.modules[f"votephase.{module}"], name), name
+    assert set(votephase.__all__) <= set(dir(votephase))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        votephase.no_such_name
 
 
 def test_exports_are_package_objects_and_no_module():
@@ -179,6 +190,39 @@ def test_diagnose_stays_the_function_after_its_module_is_imported():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_closed_form_subcommands_start_without_numpy():
+    # analytic and phase-grid compute with math alone, so neither they nor
+    # the package and cli imports load numpy or the numpy-backed layers;
+    # oracle and simulate load them on first use and print what they did.
+    code = """
+import contextlib, io, json, sys
+import votephase
+import votephase.cli as cli
+cli.build_parser()
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+cases = json.loads(sys.argv[1])
+printed = {name: run(cases[name]) for name in ("analytic-geometric-json", "grid-geometric-csv")}
+loaded = sorted(set(sys.modules) & set(json.loads(sys.argv[2])))
+printed.update((name, run(cases[name])) for name in ("oracle-geometric-json", "simulate-geometric-csv"))
+print(json.dumps({"loaded": loaded, "printed": printed}))
+"""
+    heavy = ["numpy", "votephase.oracle", "votephase.montecarlo", "votephase.sampler"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", code, json.dumps(CASES), json.dumps(heavy)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["loaded"] == []
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert report["printed"] == {name: golden[name]["stdout"] for name in report["printed"]}
 
 
 @pytest.mark.parametrize("name", ["analytic.py", "grid.py"])

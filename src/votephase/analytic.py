@@ -105,10 +105,17 @@ def _normal_estimate(n: int, rates: RatePair, prior: Prior, variance: Callable) 
     1 - Phi((n/2 - n r)/s); the two are equal exactly, but the
     subtraction would cancel away the tail's relative precision
     whenever it is small.
+
+    A class variance underflows to 0 only where the true Phi argument
+    exceeds 1e145 in size, or is 0 at r = 1/2: at r = 5e-324 and n = 1,
+    lam r (1 - r) and (1 - lam) r (1 - r) both round to 0 at lam = 1/2.
+    Flooring every variance at the smallest positive double gives
+    exactly Phi(+-inf) or Phi(0) there, at finite n and in the n-free
+    plug-in alike, and leaves every positive variance as it is.
     """
 
     def z(rate: float) -> float:
-        return (n / 2.0 - n * rate) / math.sqrt(variance(rate))
+        return (n / 2.0 - n * rate) / math.sqrt(max(variance(rate), math.ulp(0.0)))
 
     return std_normal_cdf(z(rates.p)) * prior.pi + std_normal_cdf(-z(rates.q)) * (1.0 - prior.pi)
 
@@ -128,17 +135,13 @@ def estimated_error_asymptotic(
     the Phi arguments and the plug-in value is n-free: the estimate at
     n = 1 with the model's ``plugin_variance``. Under equicorrelation
     that is lam r (1 - r), equivalent to an independent ensemble of
-    effective size 1/lam.
-
-    lam r (1 - r) underflows to 0 only where the true Phi argument
-    exceeds 1e145 in size, or is 0 at r = 1/2. Flooring it at the
-    smallest positive double gives exactly Phi(+-inf) or Phi(0) there,
-    and leaves every positive variance as it is.
+    effective size 1/lam; ``_normal_estimate`` floors it where it
+    underflows.
     """
     check_model(model)
     if not model.abusive:
         return limiting_error(rates, prior)
-    return _normal_estimate(1, rates, prior, lambda r: max(model.plugin_variance(r), math.ulp(0.0)))
+    return _normal_estimate(1, rates, prior, model.plugin_variance)
 
 
 class Side(enum.Enum):

@@ -76,7 +76,7 @@ def _as_size(value: Any, name: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadSize(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise BadSize(f"{name} must be >= {minimum}, got {value}")
+        raise BadSize(f"{name} must be >= {minimum}, got {_size_text(value)}")
     return value
 
 
@@ -93,8 +93,12 @@ def _check_type(value: Any, cls: type, name: str) -> None:
 
 
 def _size_text(count: int) -> str:
-    """``count`` in digits, or its bit length once it exceeds 2**53."""
-    return str(count) if count <= 2**53 else f"a {count.bit_length()}-bit integer"
+    """``count`` in digits, or its sign and bit length once its size
+    exceeds 2**53: an error message stays short, and Python refuses to
+    print an integer of more than 4300 digits."""
+    if abs(count) <= 2**53:
+        return str(count)
+    return f"a {'negative ' if count < 0 else ''}{count.bit_length()}-bit integer"
 
 
 def _as_ensemble_size(value: Any) -> int:

@@ -30,6 +30,7 @@ from .model import (
     _as_probability,
     _as_size,
     _cpus,
+    _size_text,
 )
 from .sampler import RngSeed, make_rng, sample_matrix
 
@@ -95,7 +96,7 @@ class McEstimate:
 def _ensemble_size(n: int, minimum: int = 1, guard: int = MC_SIZE_GUARD) -> int:
     n = _as_size(n, "n", minimum)
     if n > guard:
-        raise BadSize(f"Monte Carlo n={n} exceeds guard {guard}")
+        raise BadSize(f"Monte Carlo n={_size_text(n)} exceeds guard {guard}")
     return n
 
 
@@ -108,7 +109,7 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
     it arrives, so earlier results need not stay alive.
     """
     if reps > MC_REPS_GUARD:
-        raise BadSize(f"Monte Carlo reps={reps} exceeds guard {MC_REPS_GUARD}")
+        raise BadSize(f"Monte Carlo reps={_size_text(reps)} exceeds guard {MC_REPS_GUARD}")
     full, rest = divmod(reps, CHUNK_REPS)
     sizes = [CHUNK_REPS] * full + ([rest] if rest else [])
 

@@ -41,12 +41,14 @@ from .model import (
     BadParameter,
     CorrelationModel,
     EnsembleConfig,
+    Equicorrelated,
     Geometric,
     Independent,
     VotePhaseError,
     _as_probability,
     _as_size,
     _cpus,
+    _size_text,
     check_model,
 )
 
@@ -80,6 +82,11 @@ class SizeGuardExceeded(VotePhaseError, ValueError):
     """An exact computation was requested beyond its size guard."""
 
 
+def _check_guard(what: str, n: int, guard: int) -> None:
+    if n > guard:
+        raise SizeGuardExceeded(f"{what} n={_size_text(n)} exceeds guard {guard}")
+
+
 @dataclass(frozen=True)
 class VotePmf:
     """Distribution of the vote sum: mass[k] = P(g = k), k = 0..n."""
@@ -92,7 +99,7 @@ class VotePmf:
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (n + 1,):
             raise BadParameter(
-                f"mass must have shape ({n + 1},), got {mass.shape}"
+                f"mass must have shape ({_size_text(n + 1)},), got {mass.shape}"
             )
         if not mass.min() >= -_PMF_SUM_TOL:
             raise BadParameter("mass entries must be nonnegative")
@@ -134,8 +141,7 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     ``VotePmf``. n above ``BINOMIAL_SIZE_GUARD`` is refused.
     """
     n = _as_size(n, "n")
-    if n > BINOMIAL_SIZE_GUARD:
-        raise SizeGuardExceeded(f"binomial pmf n={n} exceeds guard {BINOMIAL_SIZE_GUARD}")
+    _check_guard("binomial pmf", n, BINOMIAL_SIZE_GUARD)
     r = _as_probability(rate, "rate")
     log_odds = math.log(r) - math.log1p(-r)
     log_tiny = math.log(np.finfo(float).tiny)
@@ -254,10 +260,7 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     if isinstance(model, Independent):
         mass = binomial_pmf(n, r)
     elif isinstance(model, Geometric):
-        if n > GEOMETRIC_SIZE_GUARD:
-            raise SizeGuardExceeded(
-                f"geometric pmf n={n} exceeds guard {GEOMETRIC_SIZE_GUARD}"
-            )
+        _check_guard("geometric pmf", n, GEOMETRIC_SIZE_GUARD)
         mass = _markov_sum_pmf(n, r, model)
     else:  # Equicorrelated
         mass = (1.0 - model.lam) * binomial_pmf(n, r)
@@ -304,55 +307,51 @@ def exact_error(cfg: EnsembleConfig) -> float:
     return error_from_pmfs(*class_pmfs(cfg), cfg.prior.pi)
 
 
-def _vector_probabilities(
-    n: int, ones: np.ndarray, rate: float, model: CorrelationModel
-) -> np.ndarray:
+def _vector_probabilities(n: int, rate: float, model: CorrelationModel) -> np.ndarray:
     """P(votes = b) for all 2**n vote vectors, conditioned on one class.
 
-    Index i holds the vector whose vote j is bit j of i, and ones[i]
-    counts its ones. The geometric chain appends one vote at a time:
-    with h = len(prob) / 2, prob[:h] ends in a 0 and prob[h:] in a 1,
-    and the new vote doubles the array.
+    Index i holds the vector whose vote j is bit j of i. Every model is
+    built from one two-state chain that appends one vote at a time, in
+    place in one array: with h = size / 2, prob[:h] ends in a 0 and
+    prob[h:size] in a 1, and the new vote writes the vectors that end in
+    a 1 to prob[size:2 size] before it scales prob[:size] by the chance
+    of a 0. The geometric chain moves with ``Geometric.transitions``;
+    the independent chain's next vote ignores the last (t11 = t01 = r).
+    The equicorrelated model mixes the shared coin into the independent
+    chain: it gives only the all-zeros vector (index 0) and the all-ones
+    vector (index -1).
     """
-    check_model(model)
-    if isinstance(model, Geometric):
-        t11, t01 = model.transitions(rate)
-        prob = np.array([1.0 - rate, rate])
-        for _ in range(1, n):
-            h = len(prob) // 2
-            prob = np.concatenate(
-                [prob[:h] * (1.0 - t01), prob[h:] * (1.0 - t11), prob[:h] * t01, prob[h:] * t11]
-            )
-        return prob
-    independent = rate**ones * (1.0 - rate) ** (n - ones)
-    if isinstance(model, Independent):
-        return independent
-    # Equicorrelated: the shared coin gives only the all-zeros vector
-    # (index 0) and the all-ones vector (index -1).
-    shared = np.zeros(len(ones))
-    shared[-1] = rate
-    shared[0] = 1.0 - rate
-    return model.lam * shared + (1.0 - model.lam) * independent
+    t11, t01 = model.transitions(rate) if isinstance(model, Geometric) else (rate, rate)
+    prob = np.empty(2**n)
+    prob[:2] = 1.0 - rate, rate
+    for size in (2**j for j in range(1, n)):
+        h = size // 2
+        np.multiply(prob[:h], t01, out=prob[size : size + h])
+        np.multiply(prob[h:size], t11, out=prob[size + h : 2 * size])
+        prob[:h] *= 1.0 - t01
+        prob[h:size] *= 1.0 - t11
+    if isinstance(model, Equicorrelated):
+        prob *= 1.0 - model.lam
+        prob[0] += model.lam * (1.0 - rate)
+        prob[-1] += model.lam * rate
+    return prob
 
 
 def brute_force_error(cfg: EnsembleConfig) -> float:
     """Majority error by explicit enumeration of all 2**n vote vectors.
 
     Exponential; guarded to n <= 20. This shares no code path with
-    ``exact_error`` beyond the model parameters, which is the point.
+    ``exact_error`` beyond the model parameters and the size-guard
+    check, which is the point.
     """
     n = cfg.n
-    if n > BRUTE_FORCE_SIZE_GUARD:
-        raise SizeGuardExceeded(
-            f"brute force enumerates 2^n vectors; n={n} exceeds guard "
-            f"{BRUTE_FORCE_SIZE_GUARD}"
-        )
-    ones = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        ones = np.concatenate([ones, ones + 1])
+    _check_guard("brute force enumerates 2^n vectors;", n, BRUTE_FORCE_SIZE_GUARD)
+    ones = np.zeros(2**n, dtype=np.uint8)
+    for size in (2**j for j in range(n)):
+        np.add(ones[:size], 1, out=ones[size : 2 * size])
     majority_one = 2 * ones > n
-    prob_class1 = _vector_probabilities(n, ones, cfg.rates.p, cfg.model)
-    prob_class0 = _vector_probabilities(n, ones, cfg.rates.q, cfg.model)
+    prob_class1 = _vector_probabilities(n, cfg.rates.p, cfg.model)
+    prob_class0 = _vector_probabilities(n, cfg.rates.q, cfg.model)
     pi = cfg.prior.pi
     miss = float(prob_class1[~majority_one].sum())
     false_alarm = float(prob_class0[majority_one].sum())

@@ -39,6 +39,7 @@ from .model import (
     Geometric,
     Independent,
     _as_size,
+    _size_text,
     check_model,
 )
 
@@ -66,7 +67,7 @@ class RngSeed:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise BadParameter(f"{name} must be an integer, got {v!r}")
             if not 0 <= v <= _U64_MAX:
-                raise BadParameter(f"{name} must fit in 64 unsigned bits, got {v}")
+                raise BadParameter(f"{name} must fit in 64 unsigned bits, got {_size_text(v)}")
 
 
 def make_rng(seed: RngSeed, *path: int) -> np.random.Generator:
@@ -84,7 +85,7 @@ def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
     if rates.ndim == 0:
         rates = np.full(count, float(rates))
     if rates.shape != (count,):
-        raise BadParameter(f"rate must be scalar or shape ({count},)")
+        raise BadParameter(f"rate must be scalar or shape ({_size_text(count)},)")
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
         raise BadParameter("every rate must be a probability in [0, 1]")
     return rates

@@ -1,6 +1,8 @@
 """Slow reference computations and sampling helpers for the tests."""
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,6 +136,58 @@ def markov_sum_pmf_dp(n: int, rate: float, model: Geometric) -> np.ndarray:
     out = last0 + last1
     out /= out.sum()
     return out
+
+
+def exact_binomial_pmf(n: int, rate: float) -> list:
+    """Binomial(n, r) pmf as Fractions: exact for the double r."""
+    r = Fraction(rate)
+    return [math.comb(n, k) * r**k * (1 - r) ** (n - k) for k in range(n + 1)]
+
+
+def exact_markov_sum_pmf(n: int, rate: float, model: Geometric) -> list:
+    """pmf of the sum of the stationary two-state chain, as Fractions.
+
+    The (running sum, last vote) recurrence of ``markov_sum_pmf_dp``,
+    untrimmed, on the exact rationals of the double r and of the doubles
+    ``Geometric.transitions`` returns; 1 - t is exact too. Each double
+    is a ratio over a power of 2, so the recurrence runs on integer
+    numerators over the common denominator, which is far faster than
+    Fraction arithmetic at every step and gives the same values.
+    """
+    r, t11, t01 = (Fraction(x) for x in (rate, *model.transitions(rate)))
+    scale = max(r.denominator, t11.denominator, t01.denominator)
+    r, t11, t01 = (int(x * scale) for x in (r, t11, t01))
+    # last0[k], last1[k]: numerator of P(first i votes sum to k, vote i is 0 / 1).
+    last0, last1 = [scale - r, 0], [0, r]
+    for _ in range(n - 1):
+        last0, last1 = (
+            [a * (scale - t01) + b * (scale - t11) for a, b in zip(last0, last1)] + [0],
+            [0] + [a * t01 + b * t11 for a, b in zip(last0, last1)],
+        )
+    return [Fraction(a + b, scale**n) for a, b in zip(last0, last1)]
+
+
+def exact_pmf(model: CorrelationModel, n: int, rate: float) -> list:
+    """Exact vote-sum pmf of any model as Fractions; the equicorrelated
+    one mixes the shared coin into the binomial."""
+    if isinstance(model, Geometric):
+        return exact_markov_sum_pmf(n, rate, model)
+    mass = exact_binomial_pmf(n, rate)
+    if isinstance(model, Equicorrelated):
+        lam, r = Fraction(model.lam), Fraction(rate)
+        mass = [(1 - lam) * m for m in mass]
+        mass[0] += lam * (1 - r)
+        mass[n] += lam * r
+    return mass
+
+
+def exact_error_fraction(cfg: EnsembleConfig) -> Fraction:
+    """Majority error from the exact pmfs, as a Fraction."""
+    tie = cfg.n // 2
+    miss = sum(exact_pmf(cfg.model, cfg.n, cfg.rates.p)[: tie + 1])
+    false_alarm = sum(exact_pmf(cfg.model, cfg.n, cfg.rates.q)[tie + 1 :])
+    pi = Fraction(cfg.prior.pi)
+    return miss * pi + false_alarm * (1 - pi)
 
 
 def pmf_mean(pmf) -> float:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votephase.analytic import (
@@ -18,6 +18,7 @@ from votephase.analytic import (
     std_normal_cdf,
     sum_variance,
 )
+from votephase.grid import point
 from votephase.model import (
     BadParameter,
     EnsembleConfig,
@@ -240,6 +241,32 @@ class TestEquicorrelatedUnderflow:
     def test_plug_in_value_is_the_limit(self, p, q, lam):
         r, pr = RatePair(p=p, q=q), Prior(pi=0.5)
         assert estimated_error_asymptotic(r, pr, Equicorrelated(lam=lam)) == limiting_error(r, pr)
+
+
+# Values out to both ends of the open interval, where a class variance
+# can round to 0; 0.5 is where lam r (1 - r) and (1 - lam) r (1 - r)
+# round to 0 together at r = 5e-324.
+edge_values = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1 - 2**-53]),
+    st.floats(min_value=5e-324, max_value=1 - 2**-53),
+)
+
+
+class TestEveryRowIsFinite:
+    @given(
+        n=st.sampled_from([1, 2, 3, 101]),
+        p=edge_values,
+        q=edge_values,
+        pi=st.one_of(st.just(0.5), rates),
+        param=edge_values,
+    )
+    @example(n=1, p=5e-324, q=0.4, pi=0.5, param=0.5)
+    @settings(max_examples=300)
+    def test_err_hat_and_delta_n(self, n, p, q, pi, param):
+        for model in (Independent(), Geometric(gamma=param), Equicorrelated(lam=param)):
+            row = point(RatePair(p=p, q=q), Prior(pi=pi), model, n)
+            assert 0.0 <= row.err_hat <= 1.0, (model, row)
+            assert math.isfinite(row.delta_n), (model, row)
 
 
 class TestLimitingError:

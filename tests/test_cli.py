@@ -506,9 +506,26 @@ class TestSimulate:
         )
         assert code == 1 and out == ""
         assert err == (
-            f"votephase: error: Monte Carlo reps={10**18} exceeds guard "
+            "votephase: error: Monte Carlo reps=a 60-bit integer exceeds guard "
             f"{montecarlo.MC_REPS_GUARD}\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "reps, start",
+        [("9" * 4000, "Monte Carlo reps=a 13288-bit integer exceeds guard "),
+         ("-" + "9" * 4000, "reps must be >= 100, got a negative 13288-bit integer")],
+        ids=["positive", "negative"],
+    )
+    def test_reps_of_4000_digits_is_one_short_line(self, capsys, reps, start):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--n", "11", "--p", "0.6", "--q", "0.4", "--pi", "0.5",
+             "--reps", reps, "--seed", "1"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"votephase: error: {start}")
+        assert err.count("\n") == 1 and len(err) < 200
 
 
 class TestEquicorrelatedUnderflow:

@@ -30,6 +30,8 @@ MODELS = {
 }
 GRID = ["--p-min", "0.2", "--p-max", "0.8", "--q-min", "0.2", "--q-max", "0.8", "--pi", "0.5"]
 SIMULATE = [*ENSEMBLE, "--reps", "20000", "--seed", "7"]
+# At p = 5e-324, lambda p (1 - p) and (1 - lambda) p (1 - p) both round to 0.
+UNDERFLOW = ["--n", "1", "--pi", "0.5", "--model", "equicorrelated", "--lambda", "0.5"]
 
 FILES = {
     "ensemble.json": json.dumps(
@@ -65,6 +67,13 @@ def _cases() -> dict:
     cases.update(
         {
             "grid-step-asymptotic": ["phase-grid", *GRID, "--step", "0.15"],
+            "analytic-equicorrelated-underflow": [
+                "analytic", "--p", "5e-324", "--q", "0.4", *UNDERFLOW,
+            ],
+            "grid-equicorrelated-underflow": [
+                "phase-grid", "--p-min", "5e-324", "--p-max", "5e-324", "--q-min", "0.4",
+                "--q-max", "0.4", "--resolution", "1", *UNDERFLOW,
+            ],
             "grid-default-axes": ["phase-grid", "--pi", "0.35", "--resolution", "4"],
             "simulate-conditional-1-stream": [
                 "simulate", *SIMULATE, "--conditional", "1", "--stream", "3", "--format", "csv",
@@ -162,6 +171,22 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(name, golden, tmp_path):
     assert _in_fixture_dir(tmp_path, CASES[name]) == golden[name]
+
+
+def _reject_constant(token):
+    raise ValueError(f"not valid JSON: {token}")
+
+
+def test_json_outputs_are_strict_json(golden):
+    # json.loads accepts NaN and Infinity, which are not JSON.
+    parsed = set()
+    for name, result in golden.items():
+        for text in (result["stdout"], result.get("out")):
+            if text and text.startswith("{"):
+                json.loads(text, parse_constant=_reject_constant)
+                parsed.add(name)
+    asked = {name for name, argv in CASES.items() if "json" in argv or "--dump-config" in argv}
+    assert asked <= parsed
 
 
 if __name__ == "__main__":

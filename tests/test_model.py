@@ -23,9 +23,17 @@ from votephase.model import (
     Prior,
     RateOutOfRange,
     RatePair,
+    VotePhaseError,
+    _size_text,
     model_from_dict,
 )
-from votephase.oracle import exact_vote_pmf
+from votephase.montecarlo import CORR_SIZE_GUARD, MC_REPS_GUARD, mc_correlation_matrix, mc_error
+from votephase.oracle import (
+    BINOMIAL_SIZE_GUARD,
+    GEOMETRIC_SIZE_GUARD,
+    VotePmf,
+    exact_vote_pmf,
+)
 from votephase.sampler import RngSeed, make_rng, sample_matrix
 from reference import asymptotic_sigma_sq
 
@@ -375,3 +383,48 @@ class TestGridSpec:
         assert len(ps) == res
         assert ps[0] == float(lo) and ps[-1] == float(hi)
         assert all(a < b for a, b in zip(ps, ps[1:]))
+
+
+class TestSizeText:
+    def test_digits_up_to_two_to_the_53(self):
+        for count in (0, 7, -7, 2**53, -(2**53)):
+            assert _size_text(count) == str(count)
+
+    def test_bit_length_beyond(self):
+        assert _size_text(2**53 + 1) == "a 54-bit integer"
+        assert _size_text(-(2**53) - 1) == "a negative 54-bit integer"
+        assert _size_text(10**5000) == "a 16610-bit integer"
+
+    # Python refuses to print an int of more than 4300 digits, so each of
+    # these messages once ended in an untyped ValueError; each call's
+    # error must have the type that the small bad value gives it.
+    @pytest.mark.parametrize(
+        "call, small",
+        [
+            (lambda v: EnsembleConfig(n=v, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5)), -3),
+            (lambda v: RngSeed(seed=v), 2**64),
+            (lambda v: RngSeed(seed=1, stream=v), -1),
+            (lambda v: mc_error(
+                EnsembleConfig(n=5, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5)),
+                v, RngSeed(seed=1),
+            ), MC_REPS_GUARD + 1),
+            (lambda v: mc_correlation_matrix(Independent(), v, 0.5, 10_000, RngSeed(seed=1)),
+             CORR_SIZE_GUARD + 1),
+            (lambda v: exact_vote_pmf(Independent(), v, 0.5), BINOMIAL_SIZE_GUARD + 1),
+            (lambda v: exact_vote_pmf(Geometric(gamma=0.5), v, 0.5), GEOMETRIC_SIZE_GUARD + 1),
+            (lambda v: VotePmf(n=v, mass=np.array([0.5, 0.5])), 2),
+            (lambda v: sample_matrix(Independent(), 5, np.array([0.5]), v, make_rng(RngSeed(1))),
+             2),
+        ],
+        ids=["as-size-minimum", "seed", "stream", "mc-reps", "mc-n", "binomial", "geometric",
+             "pmf-shape", "sampler-rate-shape"],
+    )
+    def test_huge_integers_keep_their_typed_error(self, call, small):
+        with pytest.raises(VotePhaseError) as expected:
+            call(small)
+        huge = 10**5000 if small > 0 else -(10**5000)
+        with pytest.raises(VotePhaseError) as got:
+            call(huge)
+        assert type(got.value) is type(expected.value)
+        assert len(str(got.value)) < 200 and "16610-bit integer" in str(got.value)
+

@@ -39,7 +39,7 @@ from votephase.oracle import (
     exact_error,
     exact_vote_pmf,
 )
-from reference import markov_sum_pmf_dp, pmf_mean, pmf_variance
+from reference import exact_error_fraction, exact_pmf, markov_sum_pmf_dp, pmf_mean, pmf_variance
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 params = st.floats(min_value=0.01, max_value=0.99)
@@ -557,6 +557,46 @@ class TestClassPmfs:
             exact_error(_geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8))
         assert caught.value is error
         assert threading.active_count() == before
+
+
+# (model, n, p, q, pi): float rates up to n = 60, and n = 200 at dyadic
+# parameters, whose transitions are exact doubles as well.
+_RATIONAL_CASES = [
+    pytest.param(model, n, p, q, pi, id=f"{model.kind}-n{n}-p{p}")
+    for model, n, p, q, pi in [
+        *(
+            (model, n, p, q, pi)
+            for model in (Independent(), Geometric(gamma=0.7), Equicorrelated(lam=0.4))
+            for n in (1, 2, 3, 7, 20, 60)
+            for p, q, pi in ((0.65, 0.3, 0.4), (0.99, 0.01, 0.5))
+        ),
+        *(
+            (model, 200, 0.625, 0.375, 0.5)
+            for model in (Independent(), Geometric(gamma=0.75), Equicorrelated(lam=0.75))
+        ),
+    ]
+]
+
+
+class TestExactRationalReference:
+    """The oracle and brute force against exact-rational pmfs."""
+
+    @pytest.mark.parametrize("model, n, p, q, pi", _RATIONAL_CASES)
+    def test_masses(self, model, n, p, q, pi):
+        for rate in (p, q):
+            exact = np.array([float(m) for m in exact_pmf(model, n, rate)])
+            big = exact >= 1e-300
+            np.testing.assert_allclose(
+                exact_vote_pmf(model, n, rate).mass[big], exact[big], rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("model, n, p, q, pi", _RATIONAL_CASES)
+    def test_errors(self, model, n, p, q, pi):
+        cfg = _cfg(n, p, q, pi=pi, model=model)
+        exact = float(exact_error_fraction(cfg))
+        assert abs(exact_error(cfg) - exact) <= 1e-15
+        if n <= BRUTE_FORCE_SIZE_GUARD:
+            assert abs(brute_force_error(cfg) - exact) <= 1e-15
 
 
 class TestBruteForce:

@@ -13,10 +13,12 @@ Per model:
   about 2 ms at n = 10**6.
 * Geometric: transfer-matrix product for a stationary two-state Markov
   chain whose lag-k correlations are gamma**k, raised by halving and
-  binary powering with direct convolutions. Every product keeps only
-  the window of sums whose mass is a normal double, so the far tails
-  cost nothing. O(n) memory; one pmf takes about 0.14 s at n = 20001
-  and 0.6-2.9 s at n = 10**5 (gamma 0.3-0.99) on a 2-vCPU Xeon VM.
+  binary powering with direct convolutions, five per squaring. Every
+  product keeps only the window of sums whose mass is a normal double,
+  so the far tails cost nothing, and is scaled by powers of two where
+  its tails would compute in subnormals. O(n) memory; at r = 0.6 one pmf
+  takes 0.02-0.09 s at n = 20001 and 0.2-1.8 s at n = 10**5 (gamma
+  0.3-0.99) on a 2-vCPU Xeon VM.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
   threads (``class_pmfs``).
 * Equicorrelated: two-component mixture, lam * (shared coin) +
@@ -53,8 +55,9 @@ from .model import (
 )
 
 # The geometric pmf costs O(w^2) for a window of w normal-double masses,
-# at most O(n^2); it takes seconds per pmf at this n, so refuse larger n
-# rather than silently eat minutes of CPU.
+# at most O(n^2); at this n one pmf takes 0.2-1.8 s (gamma 0.3-0.99) on
+# a 2-vCPU Xeon VM, so refuse larger n rather than silently eat minutes
+# of CPU.
 GEOMETRIC_SIZE_GUARD = 100_000
 
 # The binomial pmf computes only its normal-double window but returns
@@ -71,11 +74,15 @@ BRUTE_FORCE_SIZE_GUARD = 20
 # A geometric pair of pmfs at this n or above is computed on two
 # threads (see ``class_pmfs``); below it the threads' contention for
 # the GIL can cost more than the overlap saves. On a 2-vCPU Xeon VM at
-# gamma 0.1-0.99, threaded exact_error ran 0.71-1.30x as fast as
-# sequential at n = 3001-5001, and 1.02-1.58x at n = 6001-8001.
-GEOMETRIC_THREAD_MIN_N = 6001
+# gamma 0.3 / 0.8 / 0.99, threaded exact_error ran 0.68-0.91x as fast
+# as sequential at n = 3001, 0.90-1.10x at n = 6001, 0.88-1.58x at
+# n = 7001-8001, and 1.23-1.77x at n = 10001.
+GEOMETRIC_THREAD_MIN_N = 10001
 
 _PMF_SUM_TOL = 1e-12
+
+# The smallest normal double; see the module docstring.
+_TINY = float(np.finfo(float).tiny)
 
 
 class SizeGuardExceeded(VotePhaseError, ValueError):
@@ -108,7 +115,7 @@ class VotePmf:
             raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
         # Subnormals have lost most or all of their precision, and the
         # tolerated negatives are rounding; report both as 0.
-        mass = np.where(mass < np.finfo(float).tiny, 0.0, mass)
+        mass = np.where(mass < _TINY, 0.0, mass)
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
 
@@ -144,7 +151,7 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     _check_guard("binomial pmf", n, BINOMIAL_SIZE_GUARD)
     r = _as_probability(rate, "rate")
     log_odds = math.log(r) - math.log1p(-r)
-    log_tiny = math.log(np.finfo(float).tiny)
+    log_tiny = math.log(_TINY)
     mode = min(n, int((n + 1) * r))
     width = int(math.sqrt(2 * 745 * n * r * (1.0 - r))) + 2
     while True:
@@ -159,7 +166,7 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     logs = np.concatenate([down[::-1], [0.0], up])
     window = np.exp(logs - logs.max())
     window /= window.sum()
-    window[window < np.finfo(float).tiny] = 0.0
+    window[window < _TINY] = 0.0
     out = np.zeros(n + 1)
     out[lo : hi + 1] = window
     return out
@@ -172,7 +179,7 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
 
 def _trimmed(offset: int, masses: np.ndarray):
     """Drop end masses below the smallest normal double; None if none remain."""
-    keep = np.flatnonzero(masses >= np.finfo(float).tiny)
+    keep = np.flatnonzero(masses >= _TINY)
     if keep.size == 0:
         return None
     return offset + int(keep[0]), masses[keep[0] : keep[-1] + 1]
@@ -190,10 +197,27 @@ def _poly_sum(a, b):
 
 def _poly_product(a, b):
     """a * b, trimmed. ``np.convolve`` multiplies directly: FFT error is
-    absolute, so it would swamp the tail masses."""
+    absolute, so it would swamp the tail masses.
+
+    x86 takes a slow path for every subnormal result. So when the
+    product of the two factors' smaller end masses is below tiny, the
+    factors are scaled by 2**s in all before the convolution and the
+    result by 2**-s after it, with s = min(1022, 1022 - ea - eb -
+    bit_length(shorter length)) for largest masses below 2**ea and
+    2**eb: no partial sum can overflow, and a product of normal masses
+    is subnormal only if it was below 2**-(1022 + s). Scaling by a power
+    of two is exact on normal doubles (Goldberg 1991), so every mass is
+    np.convolve's bit for bit unless one of its products underflows.
+    """
     if a is None or b is None:
         return None
-    return _trimmed(a[0] + b[0], np.convolve(a[1], b[1]))
+    x, y = a[1], b[1]
+    if min(x[0], x[-1]) * min(y[0], y[-1]) >= _TINY:
+        return _trimmed(a[0] + b[0], np.convolve(x, y))
+    ea, eb = math.frexp(x.max())[1], math.frexp(y.max())[1]
+    s = min(1022, 1022 - ea - eb - min(len(x), len(y)).bit_length())
+    masses = np.convolve(np.ldexp(x, s // 2), np.ldexp(y, s - s // 2))
+    return _trimmed(a[0] + b[0], np.ldexp(masses, -s))
 
 
 def _vote(p: float) -> list:
@@ -214,6 +238,17 @@ def _matmul(a: list, b: list) -> list:
     return out
 
 
+def _square(m: list) -> list:
+    """m @ m for a 2 x 2 matrix of polynomials, from five products:
+    polynomials commute, so AB + BD = B(A + D) and CA + DC = C(A + D)."""
+    (a, b), (c, d) = m
+    bc, trace = _poly_product(b, c), _poly_sum(a, d)
+    return [
+        [_poly_sum(_poly_product(a, a), bc), _poly_product(b, trace)],
+        [_poly_product(c, trace), _poly_sum(_poly_product(d, d), bc)],
+    ]
+
+
 def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
     """pmf of the sum of a stationary two-state Markov chain.
 
@@ -226,13 +261,16 @@ def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
         P(z) = [[1 - t01, t01 z], [1 - t11, t11 z]],  v = [1 - r, r z].
 
     Write n - 1 = 2h, after one step v <- v P if n - 1 is odd; then the
-    pgf is (v P**h)(P**h 1). P**h comes from binary powering. An entry
-    of P**k holds w(k) = min(k + 1, O(sqrt(k))) masses that are normal
+    pgf is (v P**h)(P**h 1). P**h comes from binary powering, each
+    squaring from five polynomial products (``_square``). An entry of
+    P**k holds w(k) = min(k + 1, O(sqrt(k))) masses that are normal
     doubles, so the largest products, w(n/2) x w(n/2), happen only in
     the last two convolutions. Every product is trimmed at both ends to
-    masses >= the smallest normal double. Each trimmed mass is under
-    tiny, and every mass is a sum of nonnegative products, so the masses
-    far above the threshold keep their relative precision. O(n) memory.
+    masses >= the smallest normal double, and is scaled by powers of two
+    where its deep tails would otherwise compute in subnormals
+    (``_poly_product``). Each trimmed mass is under tiny, and every mass
+    is a sum of nonnegative products, so the masses far above the
+    threshold keep their relative precision. O(n) memory.
     """
     t11, t01 = model.transitions(rate)
     step = [_vote(t01), _vote(t11)]
@@ -242,7 +280,7 @@ def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
     one = (0, np.ones(1))
     half = [[one, None], [None, one]]
     for bit in bin((n - 1) // 2)[2:]:
-        half = _matmul(half, half)
+        half = _square(half)
         if bit == "1":
             half = _matmul(half, step)
     offset, masses = _matmul(_matmul(first, half), _matmul(half, [[one], [one]]))[0][0]

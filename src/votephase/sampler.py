@@ -35,6 +35,7 @@ import numpy as np
 
 from .model import (
     BadParameter,
+    BadSize,
     CorrelationModel,
     Geometric,
     Independent,
@@ -47,6 +48,11 @@ _U64_MAX = 2**64 - 1
 
 # Rows of uniforms drawn at a time: a 256 x 101 float block stays in cache.
 _BLOCK_ROWS = 256
+
+# ``montecarlo`` draws at most CHUNK_REPS = 16384 vectors per call. A
+# count of 10**12 would ask numpy for terabytes; refuse counts above
+# this before allocating anything.
+SAMPLE_COUNT_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -82,10 +88,12 @@ def make_rng(seed: RngSeed, *path: int) -> np.random.Generator:
 
 def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
     rates = np.asarray(rate, dtype=float)
+    if rates.ndim != 0 and rates.shape != (count,):
+        raise BadParameter(f"rate must be scalar or shape ({_size_text(count)},)")
+    if count > SAMPLE_COUNT_GUARD:
+        raise BadSize(f"count={_size_text(count)} exceeds guard {SAMPLE_COUNT_GUARD}")
     if rates.ndim == 0:
         rates = np.full(count, float(rates))
-    if rates.shape != (count,):
-        raise BadParameter(f"rate must be scalar or shape ({_size_text(count)},)")
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
         raise BadParameter("every rate must be a probability in [0, 1]")
     return rates
@@ -121,9 +129,10 @@ def sample_matrix(
 
     Per-row rates let mixed-class batches sample both classes in one
     pass with a draw order independent of the label pattern. Every rate
-    must be a probability in [0, 1]. The result is the transposed view
-    of a C-contiguous (n, count) matrix, so it is not C-contiguous
-    itself.
+    must be a probability in [0, 1], and a count above
+    ``SAMPLE_COUNT_GUARD`` is refused before any array is allocated.
+    The result is the transposed view of a C-contiguous (n, count)
+    matrix, so it is not C-contiguous itself.
 
     The geometric chain runs down the positions with two bool ufuncs
     each. Rounding keeps t01 <= r <= t11 for r in [0, 1], so u < t01

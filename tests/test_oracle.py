@@ -371,6 +371,94 @@ class TestTransferMatrixMatchesDp:
         np.testing.assert_array_max_ulp(mass[big], dp[big], maxulp=1)
 
 
+def _random_poly(rng, tail):
+    """(offset, masses) of 1-12 masses, or None; ``tail`` is the smallest
+    mass the factor may reach, and both end masses are at least tiny."""
+    if rng.random() < 0.15:
+        return None
+    width = int(rng.integers(1, 13))
+    masses = np.exp(rng.uniform(math.log(tail), 0.0, width))
+    masses[rng.random(width) < 0.2] = 0.0
+    masses[[0, -1]] = np.maximum(masses[[0, -1]], tail)
+    return int(rng.integers(0, 4)), masses
+
+
+class TestPolynomialProducts:
+    """``_square`` and the power-of-two scaling in ``_poly_product``."""
+
+    # Both sides trim end masses below tiny, each from different partial
+    # sums, so a mass may differ by up to width x tiny on top of rounding.
+    @staticmethod
+    def _assert_close(got, want, width):
+        dense = np.zeros((2, 4 * width + 8))
+        for row, poly in zip(dense, (got, want)):
+            if poly is not None:
+                row[poly[0] : poly[0] + len(poly[1])] = poly[1]
+        np.testing.assert_allclose(*dense, rtol=4 * width * 2.0**-52, atol=width * TINY)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_square_matches_matmul_on_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        tail = [1e-3, 1e-150, TINY][seed % 3]
+        m = [[_random_poly(rng, tail) for _ in range(2)] for _ in range(2)]
+        width = 2 * max([len(e[1]) for row in m for e in row if e is not None], default=1)
+        for got, want in zip(sum(oracle._square(m), []), sum(oracle._matmul(m, m), [])):
+            self._assert_close(got, want, width)
+
+    # At r = 0, r = 1 and r = 5e-324 one transition trims to the zero
+    # polynomial; squaring repeatedly reaches wide, deep-tailed entries.
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 5e-324, 0.3, 0.99])
+    @pytest.mark.parametrize("gamma", [1e-9, 0.5, 0.99])
+    def test_square_matches_matmul_on_step_powers(self, rate, gamma):
+        t11, t01 = Geometric(gamma=gamma).transitions(rate)
+        m = [oracle._vote(t01), oracle._vote(t11)]
+        for k in range(12):
+            want = oracle._matmul(m, m)
+            got = oracle._square(m)
+            for g, w in zip(sum(got, []), sum(want, [])):
+                self._assert_close(g, w, 2 ** (k + 1))
+            m = want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scaled_product_is_convolve_where_no_product_underflows(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(200, 600, 2)
+        x, y = (
+            np.exp(np.linspace(math.log(0.9), math.log(2.3e-308), w)) * rng.uniform(0.5, 1.0, w)
+            for w in widths
+        )
+        x[-1] = y[-1] = 2.3e-308
+        offset, got = oracle._poly_product((0, x), (0, y))
+        want = np.convolve(x, y)
+        # Output k is free of underflow when every product x[i] y[k - i]
+        # is normal; a margin of 2 keeps rounding at the edge out.
+        products = np.outer(x, y)
+        clean = np.array([np.fliplr(products).diagonal(len(y) - 1 - k).min() >= 2 * TINY
+                          for k in range(len(want))])
+        assert offset == 0 and clean.any() and not clean.all()
+        assert np.array_equal(got[clean[: len(got)]], want[: len(got)][clean[: len(got)]])
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_scaled_product_matches_exact_rationals(self, seed):
+        rng = np.random.default_rng(seed)
+        tail = [1e-200, 1e-300, TINY][seed % 3]
+        (oa, x), (ob, y) = (_random_poly(rng, tail) or (0, np.array([tail])) for _ in range(2))
+        product = oracle._poly_product((oa, x), (ob, y))
+        exact = [Fraction(0)] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(map(Fraction, x)):
+            for j, yj in enumerate(map(Fraction, y)):
+                exact[i + j] += xi * yj
+        got = np.zeros(len(exact))
+        if product is not None:
+            got[product[0] - oa - ob : product[0] - oa - ob + len(product[1])] = product[1]
+        bound = min(len(x), len(y)) * Fraction(2) ** -52
+        for value, want in zip(got, exact):
+            if value >= TINY:
+                assert abs(Fraction(value) - want) <= bound * want
+            else:
+                assert want < 2 * TINY
+
+
 class TestNoSubnormals:
     @pytest.mark.parametrize(
         "model, n, rate",

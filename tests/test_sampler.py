@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 from votephase.model import (
     BadParameter,
+    BadSize,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
@@ -18,7 +19,7 @@ from votephase.model import (
     RatePair,
 )
 from votephase.oracle import exact_vote_pmf
-from votephase.sampler import RngSeed, make_rng, sample_matrix
+from votephase.sampler import SAMPLE_COUNT_GUARD, RngSeed, make_rng, sample_matrix
 
 from reference import sample_labeled_votes, sample_matrix_reference
 
@@ -153,6 +154,16 @@ class TestSampleMatrixValidation:
         rate = np.array([0.5, bad, 0.5]) if per_row else bad
         with pytest.raises(BadParameter, match="probability"):
             sample_matrix(model, 5, rate, 3, make_rng(RngSeed(seed=1)))
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("count", [10**12, 10**5000], ids=["1e12", "1e5000"])
+    def test_count_guard_refuses_before_any_draw(self, model, count):
+        rng = make_rng(RngSeed(seed=1))
+        state = rng.bit_generator.state
+        with pytest.raises(BadSize) as caught:
+            sample_matrix(model, 5, 0.5, count, rng)
+        assert str(caught.value).endswith(f"exceeds guard {SAMPLE_COUNT_GUARD}")
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_closed_unit_interval_accepted(self, model):

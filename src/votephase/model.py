@@ -53,6 +53,11 @@ class BadSize(VotePhaseError, ValueError):
     """An ensemble size, resolution, or repetition count was invalid."""
 
 
+class SizeGuardExceeded(BadSize):
+    """A size was above its guard. Every guard in the package refuses
+    through ``_check_guard``, except the grid's, which names both axes."""
+
+
 def _as_float(value: Any, name: str, err: type = BadParameter) -> float:
     """Coerce to float, rejecting NaN and infinities."""
     try:
@@ -99,6 +104,11 @@ def _size_text(count: int) -> str:
     if abs(count) <= 2**53:
         return str(count)
     return f"a {'negative ' if count < 0 else ''}{count.bit_length()}-bit integer"
+
+
+def _check_guard(what: str, size: int, guard: int) -> None:
+    if size > guard:
+        raise SizeGuardExceeded(f"{what}={_size_text(size)} exceeds guard {guard}")
 
 
 def _as_ensemble_size(value: Any) -> int:
@@ -424,7 +434,7 @@ class GridSpec:
         rq = _as_size(rq, "q-axis resolution")
         if rp * rq > GRID_CELL_GUARD:
             size = f"{_size_text(rp)} x {_size_text(rq)}"
-            raise BadSize(f"grid of {size} points exceeds guard {GRID_CELL_GUARD}")
+            raise SizeGuardExceeded(f"grid of {size} points exceeds guard {GRID_CELL_GUARD}")
         object.__setattr__(self, "resolution", (rp, rq))
         self._check_axis("p", self.p_min, self.p_max, rp)
         self._check_axis("q", self.q_min, self.q_max, rq)

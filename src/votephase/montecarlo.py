@@ -23,14 +23,13 @@ import numpy as np
 
 from .model import (
     BadParameter,
-    BadSize,
     CorrelationModel,
     EnsembleConfig,
     VotePhaseError,
     _as_probability,
     _as_size,
+    _check_guard,
     _cpus,
-    _size_text,
 )
 from .sampler import RngSeed, make_rng, sample_matrix
 
@@ -95,8 +94,7 @@ class McEstimate:
 
 def _ensemble_size(n: int, minimum: int = 1, guard: int = MC_SIZE_GUARD) -> int:
     n = _as_size(n, "n", minimum)
-    if n > guard:
-        raise BadSize(f"Monte Carlo n={_size_text(n)} exceeds guard {guard}")
+    _check_guard("Monte Carlo n", n, guard)
     return n
 
 
@@ -108,8 +106,7 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
     on how many workers run the chunks. Callers reduce each result as
     it arrives, so earlier results need not stay alive.
     """
-    if reps > MC_REPS_GUARD:
-        raise BadSize(f"Monte Carlo reps={_size_text(reps)} exceeds guard {MC_REPS_GUARD}")
+    _check_guard("Monte Carlo reps", reps, MC_REPS_GUARD)
     full, rest = divmod(reps, CHUNK_REPS)
     sizes = [CHUNK_REPS] * full + ([rest] if rest else [])
 

@@ -14,9 +14,10 @@ Per model:
 * Geometric: transfer-matrix product for a stationary two-state Markov
   chain whose lag-k correlations are gamma**k, raised by halving and
   binary powering with direct convolutions, five per squaring. Every
-  product keeps only the window of sums whose mass is a normal double,
-  so the far tails cost nothing, and is scaled by powers of two where
-  its tails would compute in subnormals. O(n) memory; at r = 0.6 one pmf
+  product keeps only the window of sums whose mass is at least
+  ``_TRIM_FLOOR``, a subnormal far below the smallest normal double, so
+  the far tails cost nothing, and is scaled by powers of two where its
+  tails would compute in subnormals. O(n) memory; at r = 0.6 one pmf
   takes 0.02-0.09 s at n = 20001 and 0.2-1.8 s at n = 10**5 (gamma
   0.3-0.99) on a 2-vCPU Xeon VM.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
@@ -46,9 +47,9 @@ from .model import (
     Equicorrelated,
     Geometric,
     Independent,
-    VotePhaseError,
     _as_probability,
     _as_size,
+    _check_guard,
     _cpus,
     _size_text,
     check_model,
@@ -84,14 +85,13 @@ _PMF_SUM_TOL = 1e-12
 # The smallest normal double; see the module docstring.
 _TINY = float(np.finfo(float).tiny)
 
-
-class SizeGuardExceeded(VotePhaseError, ValueError):
-    """An exact computation was requested beyond its size guard."""
-
-
-def _check_guard(what: str, n: int, guard: int) -> None:
-    if n > guard:
-        raise SizeGuardExceeded(f"{what} n={_size_text(n)} exceeds guard {guard}")
+# Intermediate geometric products drop end masses below this floor, not
+# below tiny: an output mass near tiny is a sum of such masses with
+# weights summing to at most 1, so a trim at tiny could cost it about
+# tiny itself (21% at k = 4222 for n = 20001, r = 0.6, gamma = 0.8).
+# Each mass trimmed here is below 5e-11 tiny, and a mass at the floor
+# still holds 17 significant bits.
+_TRIM_FLOOR = 1e-318
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     ``VotePmf``. n above ``BINOMIAL_SIZE_GUARD`` is refused.
     """
     n = _as_size(n, "n")
-    _check_guard("binomial pmf", n, BINOMIAL_SIZE_GUARD)
+    _check_guard("binomial pmf n", n, BINOMIAL_SIZE_GUARD)
     r = _as_probability(rate, "rate")
     log_odds = math.log(r) - math.log1p(-r)
     log_tiny = math.log(_TINY)
@@ -174,12 +174,13 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
 
 # A polynomial in z with nonnegative coefficients, as (offset, masses):
 # masses[i] is the coefficient of z**(offset + i). Both end masses are
-# normal doubles; None is the zero polynomial.
+# at least ``_TRIM_FLOOR``, so they may be subnormal; None is the zero
+# polynomial.
 
 
 def _trimmed(offset: int, masses: np.ndarray):
-    """Drop end masses below the smallest normal double; None if none remain."""
-    keep = np.flatnonzero(masses >= _TINY)
+    """Drop end masses below ``_TRIM_FLOOR``; None if none remain."""
+    keep = np.flatnonzero(masses >= _TRIM_FLOOR)
     if keep.size == 0:
         return None
     return offset + int(keep[0]), masses[keep[0] : keep[-1] + 1]
@@ -200,14 +201,17 @@ def _poly_product(a, b):
     absolute, so it would swamp the tail masses.
 
     x86 takes a slow path for every subnormal result. So when the
-    product of the two factors' smaller end masses is below tiny, the
-    factors are scaled by 2**s in all before the convolution and the
-    result by 2**-s after it, with s = min(1022, 1022 - ea - eb -
-    bit_length(shorter length)) for largest masses below 2**ea and
-    2**eb: no partial sum can overflow, and a product of normal masses
-    is subnormal only if it was below 2**-(1022 + s). Scaling by a power
-    of two is exact on normal doubles (Goldberg 1991), so every mass is
-    np.convolve's bit for bit unless one of its products underflows.
+    product of the two factors' smaller end masses is below tiny, as it
+    always is when an end mass is subnormal, the factors are scaled by
+    2**s in all before the convolution and the result by 2**-s after
+    it, with s = min(1022, 1022 - ea - eb - bit_length(shorter length))
+    for largest masses below 2**ea and 2**eb: no partial sum can
+    overflow, and a product of normal masses is subnormal only if it
+    was below 2**-(1022 + s). Scaling up by a power of two is exact on
+    every double short of overflow, subnormals included, and scaling
+    down is exact on every result that stays normal (Goldberg 1991), so
+    every mass is np.convolve's bit for bit unless one of its products
+    underflows.
     """
     if a is None or b is None:
         return None
@@ -263,14 +267,15 @@ def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
     Write n - 1 = 2h, after one step v <- v P if n - 1 is odd; then the
     pgf is (v P**h)(P**h 1). P**h comes from binary powering, each
     squaring from five polynomial products (``_square``). An entry of
-    P**k holds w(k) = min(k + 1, O(sqrt(k))) masses that are normal
-    doubles, so the largest products, w(n/2) x w(n/2), happen only in
-    the last two convolutions. Every product is trimmed at both ends to
-    masses >= the smallest normal double, and is scaled by powers of two
+    P**k holds w(k) = min(k + 1, O(sqrt(k))) masses at or above
+    ``_TRIM_FLOOR``, so the largest products, w(n/2) x w(n/2), happen
+    only in the last two convolutions. Every product is trimmed at both
+    ends to masses >= ``_TRIM_FLOOR``, and is scaled by powers of two
     where its deep tails would otherwise compute in subnormals
-    (``_poly_product``). Each trimmed mass is under tiny, and every mass
-    is a sum of nonnegative products, so the masses far above the
-    threshold keep their relative precision. O(n) memory.
+    (``_poly_product``). Each trimmed mass is under the floor, and every
+    mass is a sum of nonnegative products, so every mass down to tiny
+    keeps its relative precision; ``VotePmf`` reports the masses below
+    tiny as 0. O(n) memory.
     """
     t11, t01 = model.transitions(rate)
     step = [_vote(t01), _vote(t11)]
@@ -298,7 +303,7 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     if isinstance(model, Independent):
         mass = binomial_pmf(n, r)
     elif isinstance(model, Geometric):
-        _check_guard("geometric pmf", n, GEOMETRIC_SIZE_GUARD)
+        _check_guard("geometric pmf n", n, GEOMETRIC_SIZE_GUARD)
         mass = _markov_sum_pmf(n, r, model)
     else:  # Equicorrelated
         mass = (1.0 - model.lam) * binomial_pmf(n, r)
@@ -383,7 +388,7 @@ def brute_force_error(cfg: EnsembleConfig) -> float:
     check, which is the point.
     """
     n = cfg.n
-    _check_guard("brute force enumerates 2^n vectors;", n, BRUTE_FORCE_SIZE_GUARD)
+    _check_guard("brute force enumerates 2^n vectors; n", n, BRUTE_FORCE_SIZE_GUARD)
     ones = np.zeros(2**n, dtype=np.uint8)
     for size in (2**j for j in range(n)):
         np.add(ones[:size], 1, out=ones[size : 2 * size])

@@ -35,11 +35,11 @@ import numpy as np
 
 from .model import (
     BadParameter,
-    BadSize,
     CorrelationModel,
     Geometric,
     Independent,
     _as_size,
+    _check_guard,
     _size_text,
     check_model,
 )
@@ -90,8 +90,7 @@ def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
     rates = np.asarray(rate, dtype=float)
     if rates.ndim != 0 and rates.shape != (count,):
         raise BadParameter(f"rate must be scalar or shape ({_size_text(count)},)")
-    if count > SAMPLE_COUNT_GUARD:
-        raise BadSize(f"count={_size_text(count)} exceeds guard {SAMPLE_COUNT_GUARD}")
+    _check_guard("count", count, SAMPLE_COUNT_GUARD)
     if rates.ndim == 0:
         rates = np.full(count, float(rates))
     if not np.all((rates >= 0.0) & (rates <= 1.0)):

@@ -138,6 +138,56 @@ def markov_sum_pmf_dp(n: int, rate: float, model: Geometric) -> np.ndarray:
     return out
 
 
+def run_count_log_pmf(n, rate, gamma, ks):
+    """log P(g = k) for a stationary two-state Markov chain, in closed form.
+
+    Counts vote vectors by their runs (Gabriel 1959, Biometrika 46): a
+    vector with k ones in m 1-runs and n - k zeros in z 0-runs, starting
+    with vote s, has C(k-1, m-1) C(n-k-1, z-1) arrangements, each of
+    probability start(s) t11^(k-m) (1-t11)^#10 t01^#01 (1-t01)^(n-k-z).
+    Shares nothing with the DP but the transition formulas.
+    """
+    t11 = rate + gamma * (1.0 - rate)
+    t01 = rate * (1.0 - gamma)
+    l11, l10 = math.log(t11), math.log1p(-t11)
+    l01, l00 = math.log(t01), math.log1p(-t01)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+
+    def log_choose(a, b):
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(math.log1p(-rate) + (n - 1) * l00)
+            continue
+        if k == n:
+            out.append(math.log(rate) + (n - 1) * l11)
+            continue
+        zeros = n - k
+        m = np.arange(1, k + 1)
+        terms = []
+        for start, end in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            z = m - start + (1 - end)  # 0-runs alternate with the 1-runs
+            ok = (z >= 1) & (z <= zeros)
+            mm, zz = m[ok], z[ok]
+            n10 = zz - (1 - start)  # every 0-run but a leading one
+            n01 = mm - start  # every 1-run but a leading one
+            terms.append(
+                log_choose(k - 1, mm - 1)
+                + log_choose(zeros - 1, zz - 1)
+                + (math.log(rate) if start else math.log1p(-rate))
+                + (k - mm) * l11
+                + n10 * l10
+                + n01 * l01
+                + (zeros - zz) * l00
+            )
+        logs = np.concatenate(terms)
+        top = logs.max()
+        out.append(top + math.log(np.exp(logs - top).sum()))
+    return np.array(out)
+
+
 def exact_binomial_pmf(n: int, rate: float) -> list:
     """Binomial(n, r) pmf as Fractions: exact for the double r."""
     r = Fraction(rate)

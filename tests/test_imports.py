@@ -3,8 +3,9 @@
 ``votephase/__init__.py`` is left out of the import scan: it imports
 names to re-export them. ``from __future__`` imports change the
 compiler, not the namespace, and are left out too. The ``__all__`` of
-``__init__.py`` must list exactly the names it imports, and export no
-module and no class or function defined outside the package.
+``__init__.py`` must list exactly the names it imports and the names of
+its lazy table, and export no module and no class or function defined
+outside the package.
 
 A private module-level name must be read by some module. A public one
 in ``src/votephase`` must be read by some module there or be named in
@@ -14,6 +15,7 @@ named in README.md: helpers only the tests use live in ``tests/``.
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -147,8 +149,9 @@ def test_every_exported_function_and_constant_is_named_in_readme():
 
 
 def test_all_lists_exactly_the_imported_names():
-    # The package imports some names from its modules eagerly and
-    # resolves the rest on first access through its lazy table.
+    # The package imports ``diagnose`` eagerly and resolves every other
+    # export on first access through its lazy table. Each export, eager
+    # or lazy, is the object of the one module that defines it.
     tree = ast.parse((ROOT / "src" / "votephase" / "__init__.py").read_text())
     eager = [
         alias.asname or alias.name
@@ -159,17 +162,27 @@ def test_all_lists_exactly_the_imported_names():
     lazy = votephase._LAZY
     assert len(votephase.__all__) == len(set(votephase.__all__))
     assert sorted(votephase.__all__) == sorted([*eager, *lazy])
-    for name, module in lazy.items():
+    defined, _ = _module_names(
+        {path.stem: path.read_text() for path in PACKAGE if path.name != "__init__.py"}
+    )
+    for name in votephase.__all__:
+        [module] = [module for module, defined_name in defined if defined_name == name]
+        assert lazy.get(name, module) == module, name
         value = getattr(votephase, name)
-        assert value is getattr(sys.modules[f"votephase.{module}"], name), name
+        assert value is getattr(importlib.import_module(f"votephase.{module}"), name), name
+    namespace: dict = {}
+    exec("from votephase import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(votephase.__all__)
+    assert len(votephase.__all__) == 45
     assert set(votephase.__all__) <= set(dir(votephase))
     with pytest.raises(AttributeError, match="no_such_name"):
         votephase.no_such_name
 
 
 def test_exports_are_package_objects_and_no_module():
-    # __all__ is derived from __init__.py's globals, so a stray import
-    # there (say, `from typing import Any`) would otherwise be exported.
+    # __all__ is derived from the lazy table, so an entry that names a
+    # submodule or a name a module imports from outside the package (say,
+    # `Any` from typing) would otherwise be exported.
     exported = {name: getattr(votephase, name) for name in votephase.__all__}
     assert [name for name, value in exported.items() if isinstance(value, types.ModuleType)] == []
     assert [

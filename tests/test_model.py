@@ -23,18 +23,27 @@ from votephase.model import (
     Prior,
     RateOutOfRange,
     RatePair,
+    SizeGuardExceeded,
     VotePhaseError,
     _size_text,
     model_from_dict,
 )
-from votephase.montecarlo import CORR_SIZE_GUARD, MC_REPS_GUARD, mc_correlation_matrix, mc_error
+from votephase.montecarlo import (
+    CORR_SIZE_GUARD,
+    MC_REPS_GUARD,
+    MC_SIZE_GUARD,
+    mc_correlation_matrix,
+    mc_error,
+)
 from votephase.oracle import (
     BINOMIAL_SIZE_GUARD,
+    BRUTE_FORCE_SIZE_GUARD,
     GEOMETRIC_SIZE_GUARD,
     VotePmf,
+    brute_force_error,
     exact_vote_pmf,
 )
-from votephase.sampler import RngSeed, make_rng, sample_matrix
+from votephase.sampler import SAMPLE_COUNT_GUARD, RngSeed, make_rng, sample_matrix
 from reference import asymptotic_sigma_sq
 
 
@@ -428,3 +437,38 @@ class TestSizeText:
         assert type(got.value) is type(expected.value)
         assert len(str(got.value)) < 200 and "16610-bit integer" in str(got.value)
 
+
+def _config(n):
+    return EnsembleConfig(n=n, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5))
+
+
+# Every size guard refuses with one type, and every message but the
+# grid's, which names both axes, has one shape.
+@pytest.mark.parametrize(
+    "call, guard, message",
+    [
+        (lambda: GridSpec(p_min=0.1, p_max=0.9, q_min=0.1, q_max=0.9, n=ASYMPTOTIC,
+                          resolution=(2, GRID_CELL_GUARD), prior=Prior(pi=0.5)),
+         GRID_CELL_GUARD, "grid of 2 x 1000000 points"),
+        (lambda: exact_vote_pmf(Geometric(gamma=0.5), GEOMETRIC_SIZE_GUARD + 1, 0.5),
+         GEOMETRIC_SIZE_GUARD, "geometric pmf n=100001"),
+        (lambda: exact_vote_pmf(Independent(), BINOMIAL_SIZE_GUARD + 1, 0.5),
+         BINOMIAL_SIZE_GUARD, "binomial pmf n=10000001"),
+        (lambda: brute_force_error(_config(BRUTE_FORCE_SIZE_GUARD + 1)),
+         BRUTE_FORCE_SIZE_GUARD, "brute force enumerates 2^n vectors; n=21"),
+        (lambda: mc_error(_config(MC_SIZE_GUARD + 1), 100, RngSeed(seed=1)),
+         MC_SIZE_GUARD, "Monte Carlo n=10001"),
+        (lambda: mc_correlation_matrix(Independent(), CORR_SIZE_GUARD + 1, 0.5, 10_000, RngSeed(seed=1)),
+         CORR_SIZE_GUARD, "Monte Carlo n=1001"),
+        (lambda: mc_error(_config(5), MC_REPS_GUARD + 1, RngSeed(seed=1)),
+         MC_REPS_GUARD, "Monte Carlo reps=1000000001"),
+        (lambda: sample_matrix(Independent(), 5, 0.5, SAMPLE_COUNT_GUARD + 1, make_rng(RngSeed(1))),
+         SAMPLE_COUNT_GUARD, "count=1000001"),
+    ],
+    ids=["grid", "geometric", "binomial", "brute-force", "mc-n", "mc-corr", "mc-reps", "sample-count"],
+)
+def test_every_size_guard_refuses_through_one_type(call, guard, message):
+    with pytest.raises(SizeGuardExceeded) as caught:
+        call()
+    assert isinstance(caught.value, BadSize)
+    assert str(caught.value) == f"{message} exceeds guard {guard}"

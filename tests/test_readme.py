@@ -37,6 +37,7 @@ def _comments(source: str) -> dict:
 def _checked_values() -> list:
     """(expression, actual, expected) for each commented expression."""
     namespace: dict = {}
+    exports = {name: getattr(votephase, name) for name in votephase.__all__}
     checks = []
     for source in (body for lang, body in BLOCKS if lang == "python"):
         comments = _comments(source)
@@ -45,7 +46,7 @@ def _checked_values() -> list:
             comment = comments.get(stmt.end_lineno)
             if isinstance(stmt, ast.Expr) and comment:
                 actual = eval(code, namespace)
-                expected = eval(re.split(r"\s{2,}", comment)[0], vars(votephase))
+                expected = eval(re.split(r"\s{2,}", comment)[0], exports)
                 checks.append((code, actual, expected))
             else:
                 exec(code, namespace)

@@ -17,9 +17,12 @@ Per model:
   product keeps only the window of sums whose mass is at least
   ``_TRIM_FLOOR``, a subnormal far below the smallest normal double, so
   the far tails cost nothing, and is scaled by powers of two where its
-  tails would compute in subnormals. O(n) memory; at r = 0.6 one pmf
-  takes 0.02-0.09 s at n = 20001 and 0.2-1.8 s at n = 10**5 (gamma
-  0.3-0.99) on a 2-vCPU Xeon VM.
+  tails would compute in subnormals. The pmf holds the pgf as two
+  factor pairs of at most n/2 + 1 masses each and reads each tail from
+  them in O(n); its n + 1 masses are built on first read. O(n) memory. At r = 0.6 and gamma
+  0.3-0.99 on a 2-vCPU Xeon VM, the factors take 0.015-0.037 s at
+  n = 20001 and 0.14-1.04 s at n = 10**5, and the masses 0.01-0.05 s
+  and 0.07-0.96 s more.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
   threads (``class_pmfs``).
 * Equicorrelated: two-component mixture, lam * (shared coin) +
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .model import (
     EnsembleConfig,
     Equicorrelated,
     Geometric,
-    Independent,
     _as_probability,
     _as_size,
     _check_guard,
@@ -56,15 +57,17 @@ from .model import (
 )
 
 # The geometric pmf costs O(w^2) for a window of w normal-double masses,
-# at most O(n^2); at this n one pmf takes 0.2-1.8 s (gamma 0.3-0.99) on
-# a 2-vCPU Xeon VM, so refuse larger n rather than silently eat minutes
+# at most O(n^2); at this n and r = 0.6 one pmf's factors take
+# 0.14-1.04 s (gamma 0.3-0.99) on a 2-vCPU Xeon VM, and its masses
+# 0.07-0.96 s more, so refuse larger n rather than silently eat minutes
 # of CPU.
 GEOMETRIC_SIZE_GUARD = 100_000
 
 # The binomial pmf computes only its normal-double window but returns
-# n + 1 float64 masses, which ``VotePmf`` copies; a fresh
-# ``oracle --n 10**7`` peaks near 200 MiB. Refuse larger n before
-# allocating any.
+# n + 1 float64 masses, which ``exact_vote_pmf`` keeps without a copy;
+# a fresh ``oracle --n 10**7`` peaks near 40 MiB, and near 190 MiB
+# under the equicorrelated model, which scales every mass. Refuse
+# larger n before allocating any.
 BINOMIAL_SIZE_GUARD = 10**7
 
 # 2**n vectors, each vote doubling the time; at 20 one brute force
@@ -75,9 +78,13 @@ BRUTE_FORCE_SIZE_GUARD = 20
 # A geometric pair of pmfs at this n or above is computed on two
 # threads (see ``class_pmfs``); below it the threads' contention for
 # the GIL can cost more than the overlap saves. On a 2-vCPU Xeon VM at
-# gamma 0.3 / 0.8 / 0.99, threaded exact_error ran 0.68-0.91x as fast
-# as sequential at n = 3001, 0.90-1.10x at n = 6001, 0.88-1.58x at
-# n = 7001-8001, and 1.23-1.77x at n = 10001.
+# gamma 0.3 / 0.8 / 0.99 (p = 0.6, q = 0.4), threaded exact_error,
+# which computes only the factors, ran 0.73-0.90x as fast as in turn
+# at n = 5001 and, in medians over runs, 0.97 / 0.99 / 0.99x at 8001,
+# 1.18 / 1.10 / 1.21x at 9001, 1.14 / 1.20 / 1.14x at 10001 and
+# 1.42 / 1.56 / 1.58x at 20001 (each run the median of 11-15
+# alternations). 9001 and 10001 are within the runs' spread of each
+# other; the threshold stays where it was.
 GEOMETRIC_THREAD_MIN_N = 10001
 
 _PMF_SUM_TOL = 1e-12
@@ -94,16 +101,21 @@ _TINY = float(np.finfo(float).tiny)
 _TRIM_FLOOR = 1e-318
 
 
-@dataclass(frozen=True)
 class VotePmf:
-    """Distribution of the vote sum: mass[k] = P(g = k), k = 0..n."""
+    """Distribution of the vote sum: mass[k] = P(g = k), k = 0..n.
 
-    n: int
-    mass: np.ndarray
+    ``VotePmf(n=..., mass=...)`` checks the masses and reports every one
+    below tiny as 0 in a read-only copy. ``exact_vote_pmf`` builds its
+    pmfs with ``_trusted``, which checks and copies nothing: a binomial
+    or equicorrelated mass arrives flushed, and a geometric pmf holds
+    the pgf's transfer-matrix factors (``_markov_factors``), reads each
+    tail from them in O(w) for a window of w masses, and builds ``mass``
+    from them on first read.
+    """
 
-    def __post_init__(self) -> None:
-        n = _as_size(self.n, "n")
-        mass = np.asarray(self.mass, dtype=float)
+    def __init__(self, n: int, mass) -> None:
+        n = _as_size(n, "n")
+        mass = np.asarray(mass, dtype=float)
         if mass.shape != (n + 1,):
             raise BadParameter(
                 f"mass must have shape ({_size_text(n + 1)},), got {mass.shape}"
@@ -115,20 +127,43 @@ class VotePmf:
             raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
         # Subnormals have lost most or all of their precision, and the
         # tolerated negatives are rounding; report both as 0.
-        mass = np.where(mass < _TINY, 0.0, mass)
-        mass.flags.writeable = False
-        object.__setattr__(self, "mass", mass)
+        self._hold(n, np.where(mass < _TINY, 0.0, mass), None)
+
+    @classmethod
+    def _trusted(cls, n: int, mass=None, factors=None) -> VotePmf:
+        return object.__new__(cls)._hold(n, mass, factors)
+
+    def _hold(self, n: int, mass, factors) -> VotePmf:
+        if mass is not None:
+            mass.flags.writeable = False
+        self.n, self._mass, self._factors = n, mass, factors
+        return self
+
+    @property
+    def mass(self) -> np.ndarray:
+        # Threads that first read it at once may each build it; every
+        # build gives the same masses.
+        if self._mass is None:
+            self._hold(self.n, _markov_mass(self.n, self._factors[0]), self._factors)
+        return self._mass
 
     # A partial sum of normalized masses can round to 1 + 1 ulp; a
     # probability is capped at 1. The slice bound is clamped at 0 so a
     # negative k cannot wrap; a bound past n gives an empty sum, 0.0.
+    # A geometric tail takes k clamped to -1..n, with the same results.
     def cdf_at(self, k: int) -> float:
-        """P(g <= k), summed directly over the lower masses."""
-        return min(1.0, float(self.mass[: max(k + 1, 0)].sum()))
+        """P(g <= k), summed over the lower masses, or over the factors'
+        prefix sums for a geometric pmf (``_factor_tail``)."""
+        if self._factors is None:
+            return min(1.0, float(self._mass[: max(k + 1, 0)].sum()))
+        return _factor_tail(min(max(k, -1), self.n), False, *self._factors)
 
     def upper_tail(self, k: int) -> float:
-        """P(g > k), summed over the upper masses (no 1 - cdf cancellation)."""
-        return min(1.0, float(self.mass[max(k + 1, 0) :].sum()))
+        """P(g > k), summed over the upper masses, or over the factors'
+        suffix sums for a geometric pmf; no 1 - cdf cancellation."""
+        if self._factors is None:
+            return min(1.0, float(self._mass[max(k + 1, 0) :].sum()))
+        return _factor_tail(min(max(k, -1), self.n), True, *self._factors)
 
 
 def binomial_pmf(n: int, rate: float) -> np.ndarray:
@@ -146,6 +181,14 @@ def binomial_pmf(n: int, rate: float) -> np.ndarray:
     log-ratios are computed: about 38,000 at n = 10**6 and r = 0.6, not
     n. Masses below the smallest normal double are returned as 0, as in
     ``VotePmf``. n above ``BINOMIAL_SIZE_GUARD`` is refused.
+
+    Measured against the exact pmf of the same double rate
+    (``tests/accuracy.py``), every mass at or above tiny is within
+    6.3e-15 to 5.7e-14 relative at n = 60 and r = 0.01-0.99, but within
+    only 1.4e-13 at n = 60, r = 0.99998, 1.5e-13 at n = 200, r = 0.0039,
+    1.4e-13 at n = 200, r = 0.125, and 2.3e-13 at n = 400, r = 0.01: the
+    rounding of the log-space sums grows with the distance from the mode,
+    so 1e-13 holds only at moderate n and rates.
     """
     n = _as_size(n, "n")
     _check_guard("binomial pmf n", n, BINOMIAL_SIZE_GUARD)
@@ -253,8 +296,8 @@ def _square(m: list) -> list:
     ]
 
 
-def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
-    """pmf of the sum of a stationary two-state Markov chain.
+def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
+    """Factors of the pgf of the sum of a stationary two-state Markov chain.
 
     Transfer-matrix form of the Markov binomial (Gabriel 1959,
     Biometrika 46): with transitions (t11, t01) from
@@ -265,17 +308,20 @@ def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
         P(z) = [[1 - t01, t01 z], [1 - t11, t11 z]],  v = [1 - r, r z].
 
     Write n - 1 = 2h, after one step v <- v P if n - 1 is odd; then the
-    pgf is (v P**h)(P**h 1). P**h comes from binary powering, each
-    squaring from five polynomial products (``_square``). An entry of
-    P**k holds w(k) = min(k + 1, O(sqrt(k))) masses at or above
-    ``_TRIM_FLOOR``, so the largest products, w(n/2) x w(n/2), happen
-    only in the last two convolutions. Every product is trimmed at both
-    ends to masses >= ``_TRIM_FLOOR``, and is scaled by powers of two
-    where its deep tails would otherwise compute in subnormals
-    (``_poly_product``). Each trimmed mass is under the floor, and every
-    mass is a sum of nonnegative products, so every mass down to tiny
-    keeps its relative precision; ``VotePmf`` reports the masses below
-    tiny as 0. O(n) memory.
+    pgf is sum_j L_j R_j with L = v P**h and R = P**h 1. P**h comes from
+    binary powering, each squaring from five polynomial products
+    (``_square``). An entry of P**k holds w(k) = min(k + 1, O(sqrt(k)))
+    masses at or above ``_TRIM_FLOOR``, so L_j and R_j hold w(n/2)
+    each: a tail needs O(w) work from them (``_factor_tail``), the n + 1
+    masses two w(n/2) x w(n/2) convolutions (``_markov_mass``). Every
+    product is trimmed at both ends to masses >= ``_TRIM_FLOOR``, and is
+    scaled by powers of two where its deep tails would otherwise compute
+    in subnormals (``_poly_product``). Each trimmed mass is under the
+    floor, and every mass is a sum of nonnegative products, so every
+    mass down to tiny keeps its relative precision. O(n) memory.
+
+    Returns the pairs (L_j, R_j) with neither factor zero, and their
+    total mass sum_j sum(L_j) sum(R_j).
     """
     t11, t01 = model.transitions(rate)
     step = [_vote(t01), _vote(t11)]
@@ -288,11 +334,42 @@ def _markov_sum_pmf(n: int, rate: float, model: Geometric) -> np.ndarray:
         half = _square(half)
         if bit == "1":
             half = _matmul(half, step)
-    offset, masses = _matmul(_matmul(first, half), _matmul(half, [[one], [one]]))[0][0]
+    right = _matmul(half, [[one], [one]])
+    pairs = [(x, y) for x, [y] in zip(_matmul(first, half)[0], right) if x and y]
+    total = sum(x[1].sum(dtype=np.longdouble) * y[1].sum(dtype=np.longdouble) for x, y in pairs)
+    return pairs, total
+
+
+def _markov_mass(n: int, pairs: list) -> np.ndarray:
+    """The n + 1 masses of sum_j L_j R_j, normalized; below tiny reads 0."""
+    offset, masses = _matmul([[x for x, _ in pairs]], [[y] for _, y in pairs])[0][0]
     out = np.zeros(n + 1)
     out[offset : offset + len(masses)] = masses
     out /= out.sum()
+    out[out < _TINY] = 0.0
     return out
+
+
+def _factor_tail(k: int, upper: bool, pairs: list, total) -> float:
+    """P(g > k) if upper, else P(g <= k), from the pgf sum_j L_j R_j.
+
+    For L_j = z**a sum_m x[m] z**m and R_j = z**b sum_i y[i] z**i, the
+    tail sums y[i] times the sum of the x[m] with a + m + b + i on the
+    tail's side of k: a prefix sum of x for P(g <= k) and a suffix sum
+    for P(g > k), so neither tail is 1 minus the other. The sums run in
+    long double, whose significand is 64 bits on x86 and whose exponent
+    range holds every product of two masses, so the tail rounds to a
+    double once. Capped at 1; a tail below tiny reads 0, as a mass below
+    tiny does.
+    """
+    tail = 0.0
+    for (a, x), (b, y) in pairs:
+        cut = np.clip(k + 1 - a - b - np.arange(len(y)), 0, len(x))
+        # sums[c] = x[:c].sum(), or for the upper tail x[len(x) - c :].sum()
+        sums = np.cumsum(np.r_[0.0, x[::-1] if upper else x], dtype=np.longdouble)
+        tail += (y * sums[len(x) - cut if upper else cut]).sum()
+    tail = min(1.0, float(tail / total))
+    return tail if tail >= _TINY else 0.0
 
 
 def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
@@ -300,16 +377,16 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     n = _as_size(n, "n")
     r = _as_probability(rate, "rate")
     check_model(model)
-    if isinstance(model, Independent):
-        mass = binomial_pmf(n, r)
-    elif isinstance(model, Geometric):
+    if isinstance(model, Geometric):
         _check_guard("geometric pmf n", n, GEOMETRIC_SIZE_GUARD)
-        mass = _markov_sum_pmf(n, r, model)
-    else:  # Equicorrelated
-        mass = (1.0 - model.lam) * binomial_pmf(n, r)
+        return VotePmf._trusted(n, factors=_markov_factors(n, r, model))
+    mass = binomial_pmf(n, r)
+    if isinstance(model, Equicorrelated):
+        mass *= 1.0 - model.lam
         mass[0] += model.lam * (1.0 - r)
         mass[n] += model.lam * r
-    return VotePmf(n=n, mass=mass)
+        mass[mass < _TINY] = 0.0
+    return VotePmf._trusted(n, mass)
 
 
 def error_from_pmfs(pmf_p: VotePmf, pmf_q: VotePmf, pi: float) -> float:

@@ -11,6 +11,9 @@ as error 1; below tiny on both sides, 0 is the honest report.
   model at each gamma in GAMMAS, the independent model and the
   equicorrelated model at lam = 0.3. The errors pair every p in RATES
   above 1/2 with every q below it, at pi = 0.5.
+* Binomial cases: the independent pmf at each (n, r) in BINOMIAL_CASES,
+  rates far from 1/2 where ``binomial_pmf``'s log-space sums gather
+  rounding.
 * Large-n cases: each ``LARGE_GEOMETRIC`` pmf at both edges of its
   reported window, against the run-count closed form
   ``reference.run_count_log_pmf``, itself good to about 1e-10.
@@ -20,7 +23,8 @@ Run from the repository root; one run takes under a minute:
     PYTHONPATH=src python3 tests/accuracy.py
 
 It writes ACCURACY.json at the repository root. A change to the oracle
-quotes the ledger's diff.
+quotes the ledger's diff; ``test_accuracy_ledger.py`` recomputes the
+n = 60 rows in every test run.
 """
 
 import functools
@@ -41,6 +45,7 @@ NS = (60, 200, 400)
 RATES = (0.01, 0.3, 0.625, 0.65, 0.99)
 GAMMAS = (0.3, 0.75, 0.95)
 MODELS = [*(Geometric(gamma=g) for g in GAMMAS), Independent(), Equicorrelated(lam=0.3)]
+BINOMIAL_CASES = ((60, 0.99998), (200, 0.0039), (200, 0.125))
 EDGE_WIDTH = 40  # masses checked inside each edge of a large-n window
 TINY = float(np.finfo(float).tiny)
 
@@ -60,21 +65,25 @@ def _label(model) -> str:
     return f"{type(model).__name__.lower()}({params})"
 
 
-def rational_rows() -> list:
+def _pmf_row(model, n: int, rate: float) -> dict:
+    mass = exact_vote_pmf(model, n, rate).mass
+    exact = reference.exact_pmf(model, n, rate)
+    worst = max(_relative_error(float(m), e) for m, e in zip(mass, exact))
+    return {"case": f"{_label(model)} n={n} r={rate}", "pmf": worst}
+
+
+def rational_rows(ns=NS) -> list:
+    """The rational and binomial rows at the sizes in ns."""
     rows = []
     for model in MODELS:
-        for n in NS:
-            for rate in RATES:
-                mass = exact_vote_pmf(model, n, rate).mass
-                exact = reference.exact_pmf(model, n, rate)
-                worst = max(_relative_error(float(m), e) for m, e in zip(mass, exact))
-                rows.append({"case": f"{_label(model)} n={n} r={rate}", "pmf": worst})
+        for n in ns:
+            rows += [_pmf_row(model, n, rate) for rate in RATES]
             for p in (r for r in RATES if r > 0.5):
                 for q in (r for r in RATES if r < 0.5):
                     cfg = EnsembleConfig(n=n, rates=RatePair(p=p, q=q), prior=Prior(pi=0.5), model=model)
                     worst = _relative_error(exact_error(cfg), reference.exact_error_fraction(cfg))
                     rows.append({"case": f"{_label(model)} n={n} p={p} q={q} pi=0.5", "error": worst})
-    return rows
+    return rows + [_pmf_row(Independent(), n, rate) for n, rate in BINOMIAL_CASES if n in ns]
 
 
 def edge_rows() -> list:

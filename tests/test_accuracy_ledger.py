@@ -1,0 +1,33 @@
+"""The accuracy ledger's n = 60 rows hold against the committed ACCURACY.json.
+
+``tests/accuracy.py`` writes the whole ledger in under a minute, too
+slow for every test run; its n = 60 rows take seconds. Each recomputed
+row must stay within max(2 x its committed error, 2**-51), so a change
+that doubles an error, or lifts a tiny one past 2**-51, fails here.
+After an intended accuracy change, rerun the script and commit its
+ACCURACY.json.
+"""
+
+import json
+
+import pytest
+
+import accuracy
+
+COMMITTED = {row["case"]: row for row in json.loads(accuracy.OUT.read_text())}
+N60 = [case for case in COMMITTED if " n=60 " in case]
+
+
+@pytest.fixture(scope="module")
+def recomputed() -> dict:
+    return {row["case"]: row for row in accuracy.rational_rows(ns=(60,))}
+
+
+def test_recomputes_every_committed_n60_row(recomputed):
+    assert sorted(recomputed) == sorted(N60)
+
+
+@pytest.mark.parametrize("case", N60)
+def test_row_within_twice_its_committed_error(case, recomputed):
+    key = "pmf" if "pmf" in COMMITTED[case] else "error"
+    assert recomputed[case][key] <= max(2 * COMMITTED[case][key], 2**-51)

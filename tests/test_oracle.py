@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import threading
 from fractions import Fraction
@@ -167,6 +168,100 @@ class TestVotePmf:
         assert pmf.upper_tail(-5) == pmf.upper_tail(-1)
         assert pmf.cdf_at(13) == pmf.cdf_at(9)
         assert pmf.upper_tail(13) == 0.0
+
+
+# Geometric masses as the full-pmf oracle of commit 172710e computed
+# them, before a geometric pmf held its transfer-matrix factors:
+# (n, rate, gamma) -> float.hex of each mass, and for larger n the
+# SHA-256 of the little-endian float64 masses.
+_FROZEN_MASSES = {
+    (1, 0.7, 0.9): ["0x1.3333333333334p-2", "0x1.6666666666666p-1"],
+    (5, 0.6, 0.8): [
+        "0x1.eb453b7c0a9b3p-3", "0x1.3081a80b4c645p-4", "0x1.4aadce2ef78f4p-4",
+        "0x1.5f910a28f8c79p-4", "0x1.6e198e1b8c227p-4", "0x1.b826dea2487b1p-2",
+    ],
+    (8, 0.3, 0.5): [
+        "0x1.cb944de815529p-3", "0x1.6a931e758bf34p-3", "0x1.5d3c89d3d3d23p-3",
+        "0x1.2b3bed20d537bp-3", "0x1.cdfc29e75a16dp-4", "0x1.41e566363fd81p-4",
+        "0x1.91b1ce99ab8d2p-5", "0x1.b722ba6a1eac9p-6", "0x1.e1e89ab39fffap-7",
+    ],
+}
+_FROZEN_DIGESTS = {
+    (2001, 0.6, 0.8): "d6b8dcb8b841ef12dd5f04ecaa0f1fa7bd9dc1bd716dc00fb2872758198a6620",
+    (2001, 0.4, 0.8): "9e4bc29aa42d25b19c2719fa3bd973eccae2cc63a76ce27683990b78fa4d6432",
+    (10001, 0.6, 0.99): "13bfa111af1814d0e07d143db05c871f0006649d749c217ae48bf17b1130892c",
+    (20001, 0.6, 0.8): "397d6b4d72e266e56f17e4498bc6365b83e79648cf1bf46127e815a47995ab56",
+}
+
+
+@pytest.fixture
+def product_widths(monkeypatch):
+    """Width of every polynomial product the oracle computes from here on."""
+    widths = []
+    product = oracle._poly_product
+
+    def spy(a, b):
+        out = product(a, b)
+        widths.append(0 if out is None else len(out[1]))
+        return out
+
+    monkeypatch.setattr(oracle, "_poly_product", spy)
+    return widths
+
+
+class TestFactorTails:
+    """A geometric pmf reads its tails from the pgf's transfer-matrix
+    factors and builds its n + 1 masses only when they are read."""
+
+    def test_exact_error_convolves_nothing_wider_than_a_factor(self, product_widths):
+        n, model = 2001, Geometric(gamma=0.8)
+        exact_error(_cfg(n, 0.6, 0.4, model=model))
+        widest = max(product_widths)
+        # A factor of P**1000 holds at most 1001 masses; the pmf holds 2002.
+        assert widest <= n // 2 + 1
+        factors = [oracle._markov_factors(n, rate, model)[0] for rate in (0.6, 0.4)]
+        assert widest <= max(len(f[1]) for pairs in factors for pair in pairs for f in pair)
+
+    @pytest.mark.parametrize("n, rate, gamma", [*_FROZEN_MASSES, *_FROZEN_DIGESTS])
+    def test_first_mass_read_builds_the_frozen_pmf(self, n, rate, gamma, product_widths):
+        pmf = exact_vote_pmf(Geometric(gamma=gamma), n, rate)
+        product_widths.clear()
+        mass = pmf.mass
+        if n > 1:
+            assert max(product_widths) > n // 2 + 2
+        built = len(product_widths)
+        assert pmf.mass is mass and len(product_widths) == built
+        assert not mass.flags.writeable
+        if (n, rate, gamma) in _FROZEN_MASSES:
+            assert [m.hex() for m in mass] == _FROZEN_MASSES[n, rate, gamma]
+        else:
+            digest = hashlib.sha256(mass.astype("<f8").tobytes()).hexdigest()
+            assert digest == _FROZEN_DIGESTS[n, rate, gamma]
+
+    @pytest.mark.parametrize(
+        "model",
+        [Geometric(gamma=0.3), Geometric(gamma=0.8), Geometric(gamma=0.99), Independent(),
+         Equicorrelated(lam=0.3)],
+        ids=lambda m: "-".join(map(str, m.to_dict().values())),
+    )
+    def test_tails_match_fsum_of_the_masses(self, model):
+        for n in range(1, 41):
+            for rate in (0.01, 0.35, 0.6, 0.99):
+                pmf = exact_vote_pmf(model, n, rate)
+                mass = pmf.mass
+                for k in range(-3, n + 4):
+                    cut = max(k + 1, 0)
+                    lower, upper = min(1.0, math.fsum(mass[:cut])), min(1.0, math.fsum(mass[cut:]))
+                    for got, want in ((pmf.cdf_at(k), lower), (pmf.upper_tail(k), upper)):
+                        assert abs(got - want) <= 4 * 2**-52 * want, (n, rate, k)
+
+    def test_lower_tail_below_tiny_reads_zero(self):
+        pmf = exact_vote_pmf(Geometric(gamma=0.3), 2001, 0.99)
+        first = int(np.flatnonzero(pmf.mass)[0])
+        # P(g <= first - 1) is about 1.6e-308, below tiny, and
+        # P(g <= first // 2) about 1e-625, below every double.
+        assert pmf.cdf_at(first - 1) == 0.0 < TINY <= pmf.cdf_at(first)
+        assert pmf.cdf_at(first // 2) == 0.0
 
 
 class TestExactVotePmf:

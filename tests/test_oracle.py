@@ -240,13 +240,13 @@ class TestFactorTails:
 
     @pytest.mark.parametrize(
         "model",
-        [Geometric(gamma=0.3), Geometric(gamma=0.8), Geometric(gamma=0.99), Independent(),
+        [Geometric(gamma=0.3), Geometric(gamma=0.8), Geometric(gamma=0.999), Independent(),
          Equicorrelated(lam=0.3)],
         ids=lambda m: "-".join(map(str, m.to_dict().values())),
     )
     def test_tails_match_fsum_of_the_masses(self, model):
         for n in range(1, 41):
-            for rate in (0.01, 0.35, 0.6, 0.99):
+            for rate in (0.01, 0.1, 0.35, 0.6, 0.9, 0.99):
                 pmf = exact_vote_pmf(model, n, rate)
                 mass = pmf.mass
                 for k in range(-3, n + 4):

@@ -22,7 +22,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .model import (
-    BadParameter,
     CorrelationModel,
     EnsembleConfig,
     VotePhaseError,
@@ -58,19 +57,17 @@ class DegenerateVariance(VotePhaseError, ValueError):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """An error-rate estimate with its binomial standard error."""
+    """An error-rate estimate with its binomial standard error.
+
+    What ``mc_error`` and ``mc_conditional_error`` return; callers do not
+    build one. ``from_count`` makes it from a count of errors out of
+    ``reps`` replications drawn from ``seed``.
+    """
 
     value: float
     std_error: float
     reps: int
     seed: RngSeed
-
-    def __post_init__(self) -> None:
-        _as_size(self.reps, "reps")
-        if not 0.0 <= self.value <= 1.0:
-            raise BadParameter(f"value must be a probability, got {self.value!r}")
-        if not self.std_error >= 0.0:
-            raise BadParameter(f"std_error must be nonnegative, got {self.std_error!r}")
 
     @classmethod
     def from_count(cls, errors: int, reps: int, seed: RngSeed) -> "McEstimate":

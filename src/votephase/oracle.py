@@ -19,17 +19,20 @@ Per model:
   the far tails cost nothing, and is scaled by powers of two where its
   tails would compute in subnormals. The pmf holds the pgf as two
   factor pairs of at most n/2 + 1 masses each and reads each tail from
-  them in O(n); its n + 1 masses are built on first read. O(n) memory. At r = 0.6 and gamma
-  0.3-0.99 on a 2-vCPU Xeon VM, the factors take 0.015-0.037 s at
-  n = 20001 and 0.14-1.04 s at n = 10**5, and the masses 0.01-0.05 s
-  and 0.07-0.96 s more.
+  them in O(n); its n + 1 masses are built on first read. O(n) memory.
+  At r = 0.6 and gamma 0.3-0.99 on a 2-vCPU Xeon VM, the factors take
+  0.015-0.037 s at n = 20001 and 0.14-1.04 s at n = 10**5, and the
+  masses 0.01-0.05 s and 0.07-0.96 s more.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
   threads (``class_pmfs``).
 * Equicorrelated: two-component mixture, lam * (shared coin) +
   (1 - lam) * Binomial(n, r).
 
-``VotePmf`` and ``binomial_pmf`` report every mass below the smallest
-normal double (``np.finfo(float).tiny``, about 2.2e-308) as exactly 0.
+``exact_vote_pmf`` returns a ``VotePmf``, a plain result type that
+checks nothing: it is built only here, from masses that are already
+flushed or from factors whose masses are flushed when built. Every mass
+below the smallest normal double (``np.finfo(float).tiny``, about
+2.2e-308) reads exactly 0, in a ``VotePmf`` and from ``binomial_pmf``.
 
 ``brute_force_error`` enumerates all 2**n vote vectors and is the
 slowest, most direct cross-check of all; it is guarded to n <= 20.
@@ -43,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .model import (
-    BadParameter,
     CorrelationModel,
     EnsembleConfig,
     Equicorrelated,
@@ -52,7 +54,6 @@ from .model import (
     _as_size,
     _check_guard,
     _cpus,
-    _size_text,
     check_model,
 )
 
@@ -87,8 +88,6 @@ BRUTE_FORCE_SIZE_GUARD = 20
 # other; the threshold stays where it was.
 GEOMETRIC_THREAD_MIN_N = 10001
 
-_PMF_SUM_TOL = 1e-12
-
 # The smallest normal double; see the module docstring.
 _TINY = float(np.finfo(float).tiny)
 
@@ -104,47 +103,25 @@ _TRIM_FLOOR = 1e-318
 class VotePmf:
     """Distribution of the vote sum: mass[k] = P(g = k), k = 0..n.
 
-    ``VotePmf(n=..., mass=...)`` checks the masses and reports every one
-    below tiny as 0 in a read-only copy. ``exact_vote_pmf`` builds its
-    pmfs with ``_trusted``, which checks and copies nothing: a binomial
-    or equicorrelated mass arrives flushed, and a geometric pmf holds
-    the pgf's transfer-matrix factors (``_markov_factors``), reads each
-    tail from them in O(w) for a window of w masses, and builds ``mass``
-    from them on first read.
+    What ``exact_vote_pmf`` returns; callers do not build one. A
+    binomial or equicorrelated pmf holds its n + 1 masses, flushed below
+    tiny. A geometric pmf holds the pgf's transfer-matrix factors
+    (``_markov_factors``), reads each tail from them in O(w) for a
+    window of w masses, and builds ``mass`` from them on first read.
+    ``mass`` is read-only.
     """
 
-    def __init__(self, n: int, mass) -> None:
-        n = _as_size(n, "n")
-        mass = np.asarray(mass, dtype=float)
-        if mass.shape != (n + 1,):
-            raise BadParameter(
-                f"mass must have shape ({_size_text(n + 1)},), got {mass.shape}"
-            )
-        if not mass.min() >= -_PMF_SUM_TOL:
-            raise BadParameter("mass entries must be nonnegative")
-        total = float(mass.sum())
-        if not abs(total - 1.0) <= _PMF_SUM_TOL:
-            raise BadParameter(f"mass sums to {total!r}, not 1 within 1e-12")
-        # Subnormals have lost most or all of their precision, and the
-        # tolerated negatives are rounding; report both as 0.
-        self._hold(n, np.where(mass < _TINY, 0.0, mass), None)
-
-    @classmethod
-    def _trusted(cls, n: int, mass=None, factors=None) -> VotePmf:
-        return object.__new__(cls)._hold(n, mass, factors)
-
-    def _hold(self, n: int, mass, factors) -> VotePmf:
+    def __init__(self, n: int, mass=None, factors=None) -> None:
         if mass is not None:
             mass.flags.writeable = False
         self.n, self._mass, self._factors = n, mass, factors
-        return self
 
     @property
     def mass(self) -> np.ndarray:
         # Threads that first read it at once may each build it; every
         # build gives the same masses.
         if self._mass is None:
-            self._hold(self.n, _markov_mass(self.n, self._factors[0]), self._factors)
+            self._mass = _markov_mass(self.n, self._factors[0])
         return self._mass
 
     # A partial sum of normalized masses can round to 1 + 1 ulp; a
@@ -308,15 +285,16 @@ def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
         P(z) = [[1 - t01, t01 z], [1 - t11, t11 z]],  v = [1 - r, r z].
 
     Write n - 1 = 2h, after one step v <- v P if n - 1 is odd; then the
-    pgf is sum_j L_j R_j with L = v P**h and R = P**h 1. P**h comes from
-    binary powering, each squaring from five polynomial products
-    (``_square``). An entry of P**k holds w(k) = min(k + 1, O(sqrt(k)))
-    masses at or above ``_TRIM_FLOOR``, so L_j and R_j hold w(n/2)
-    each: a tail needs O(w) work from them (``_factor_tail``), the n + 1
-    masses two w(n/2) x w(n/2) convolutions (``_markov_mass``). Every
-    product is trimmed at both ends to masses >= ``_TRIM_FLOOR``, and is
-    scaled by powers of two where its deep tails would otherwise compute
-    in subnormals (``_poly_product``). Each trimmed mass is under the
+    pgf is sum_j L_j R_j with L = v P**h and R = P**h 1, the row sums
+    of P**h. P**h comes from binary powering, each squaring from five
+    polynomial products (``_square``). An entry of P**k holds
+    w(k) = min(k + 1, O(sqrt(k))) masses at or above ``_TRIM_FLOOR``,
+    so L_j and R_j hold w(n/2) each: a tail needs O(w) work from them
+    (``_factor_tail``), the n + 1 masses two w(n/2) x w(n/2)
+    convolutions (``_markov_mass``). Every product is trimmed at both
+    ends to masses >= ``_TRIM_FLOOR``, and is scaled by powers of two
+    where its deep tails would otherwise compute in subnormals
+    (``_poly_product``). Each trimmed mass is under the
     floor, and every mass is a sum of nonnegative products, so every
     mass down to tiny keeps its relative precision. O(n) memory.
 
@@ -334,19 +312,21 @@ def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
         half = _square(half)
         if bit == "1":
             half = _matmul(half, step)
-    right = _matmul(half, [[one], [one]])
-    pairs = [(x, y) for x, [y] in zip(_matmul(first, half)[0], right) if x and y]
+    right = [_poly_sum(*row) for row in half]
+    pairs = [(x, y) for x, y in zip(_matmul(first, half)[0], right) if x and y]
     total = sum(x[1].sum(dtype=np.longdouble) * y[1].sum(dtype=np.longdouble) for x, y in pairs)
     return pairs, total
 
 
 def _markov_mass(n: int, pairs: list) -> np.ndarray:
-    """The n + 1 masses of sum_j L_j R_j, normalized; below tiny reads 0."""
+    """The n + 1 masses of sum_j L_j R_j, normalized and read-only;
+    below tiny reads 0."""
     offset, masses = _matmul([[x for x, _ in pairs]], [[y] for _, y in pairs])[0][0]
     out = np.zeros(n + 1)
     out[offset : offset + len(masses)] = masses
     out /= out.sum()
     out[out < _TINY] = 0.0
+    out.flags.writeable = False
     return out
 
 
@@ -379,14 +359,14 @@ def exact_vote_pmf(model: CorrelationModel, n: int, rate: float) -> VotePmf:
     check_model(model)
     if isinstance(model, Geometric):
         _check_guard("geometric pmf n", n, GEOMETRIC_SIZE_GUARD)
-        return VotePmf._trusted(n, factors=_markov_factors(n, r, model))
+        return VotePmf(n, factors=_markov_factors(n, r, model))
     mass = binomial_pmf(n, r)
     if isinstance(model, Equicorrelated):
         mass *= 1.0 - model.lam
         mass[0] += model.lam * (1.0 - r)
         mass[n] += model.lam * r
         mass[mass < _TINY] = 0.0
-    return VotePmf._trusted(n, mass)
+    return VotePmf(n, mass)
 
 
 def error_from_pmfs(pmf_p: VotePmf, pmf_q: VotePmf, pi: float) -> float:

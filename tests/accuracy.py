@@ -16,19 +16,27 @@ as error 1; below tiny on both sides, 0 is the honest report.
   rounding.
 * Large-n cases: each ``LARGE_GEOMETRIC`` pmf at both edges of its
   reported window, against the run-count closed form
-  ``reference.run_count_log_pmf``, itself good to about 1e-10.
+  ``reference.run_count_log_pmf``, itself good to about 1e-10, and
+  against the ``DECIMAL_EDGE_PINS``, values of
+  ``reference.decimal_markov_pmf_at`` good to far below 1e-12.
 
 Run from the repository root; one run takes under a minute:
 
     PYTHONPATH=src python3 tests/accuracy.py
 
-It writes ACCURACY.json at the repository root. A change to the oracle
-quotes the ledger's diff; ``test_accuracy_ledger.py`` recomputes the
-n = 60 rows in every test run.
+It compares each row with the committed row of the same case in
+ACCURACY.json at the repository root. If any row is ``regressed``, it
+prints those rows, leaves the file untouched and exits 1; otherwise it
+writes every row, new cases included. To accept a worse row on purpose,
+delete its case from ACCURACY.json first, so that the diff shows it.
+A change to the oracle quotes the ledger's diff;
+``test_accuracy_ledger.py`` recomputes the n = 60 rows in every test
+run.
 """
 
 import functools
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 import reference
-from test_oracle import LARGE_GEOMETRIC
+from test_oracle import DECIMAL_EDGE_PINS, LARGE_GEOMETRIC
 from votephase import EnsembleConfig, Equicorrelated, Geometric, Independent, Prior, RatePair
 from votephase import exact_error, exact_vote_pmf
 
@@ -52,6 +60,12 @@ TINY = float(np.finfo(float).tiny)
 # exact_error_fraction reads exact_pmf from its module; caching it there
 # builds each rational pmf once for the pmf and the error cases.
 reference.exact_pmf = functools.lru_cache(maxsize=None)(reference.exact_pmf)
+
+
+def regressed(row: dict, committed: dict) -> bool:
+    """True when a row's error exceeds max(2 x its committed error, 2**-51)."""
+    key = "pmf" if "pmf" in committed else "error"
+    return row[key] > max(2 * committed[key], 2**-51)
 
 
 def _relative_error(got: float, want) -> float:
@@ -103,12 +117,33 @@ def edge_rows() -> list:
     return rows
 
 
-def main() -> None:
-    start = time.perf_counter()
-    rows = rational_rows() + edge_rows()
+def pin_rows() -> list:
+    rows = []
+    for (n, rate, gamma), sides in DECIMAL_EDGE_PINS.items():
+        mass = exact_vote_pmf(Geometric(gamma=gamma), n, rate).mass
+        for side, pins in sides.items():
+            worst = max(_relative_error(float(mass[k]), Fraction(pin)) for k, pin in pins.items())
+            case = f"{_label(Geometric(gamma=gamma))} n={n} r={rate} {side} edge decimal pins"
+            rows.append({"case": case, "k": [min(pins), max(pins)], "pmf": worst})
+    return rows
+
+
+def _print(rows: list) -> None:
     for row in rows:
         what = "pmf" if "pmf" in row else "error"
         print(f"{row[what]:9.2e}  {what:<5}  {row['case']}", *row.get("k", ()))
+
+
+def main() -> None:
+    start = time.perf_counter()
+    rows = rational_rows() + edge_rows() + pin_rows()
+    _print(rows)
+    committed = {row["case"]: row for row in json.loads(OUT.read_text())} if OUT.exists() else {}
+    worse = [row for row in rows if row["case"] in committed and regressed(row, committed[row["case"]])]
+    if worse:
+        print(f"\n{len(worse)} rows exceed max(2 x committed, 2**-51); {OUT.name} left untouched:")
+        _print(worse)
+        sys.exit(1)
     OUT.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"wrote {len(rows)} rows to {OUT.name} in {time.perf_counter() - start:.1f} s")
 

@@ -1,5 +1,6 @@
 """Slow reference computations and sampling helpers for the tests."""
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,54 +139,114 @@ def markov_sum_pmf_dp(n: int, rate: float, model: Geometric) -> np.ndarray:
     return out
 
 
+def _run_count_terms(n, rate, gamma, k, log_fact):
+    """The terms of the run-count form of P(g = k), 0 < k < n.
+
+    For each start vote s and end vote e, yields (s, m, z, logs): the
+    vectors with k ones in m 1-runs and n - k zeros in z 0-runs (0-runs
+    alternate with the 1-runs), and the log of each term,
+    C(k-1, m-1) C(n-k-1, z-1) start(s) t11^(k-m) (1-t11)^#10 t01^#01
+    (1-t01)^(n-k-z), where #10 = z - (1 - s) counts every 0-run but a
+    leading one and #01 = m - s every 1-run but a leading one.
+    """
+    t11 = rate + gamma * (1.0 - rate)
+    t01 = rate * (1.0 - gamma)
+    l11, l10 = math.log(t11), math.log1p(-t11)
+    l01, l00 = math.log(t01), math.log1p(-t01)
+
+    def log_choose(a, b):
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    zeros = n - k
+    m = np.arange(1, k + 1)
+    for start, end in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        z = m - start + (1 - end)
+        ok = (z >= 1) & (z <= zeros)
+        mm, zz = m[ok], z[ok]
+        n10 = zz - (1 - start)
+        n01 = mm - start
+        logs = (
+            log_choose(k - 1, mm - 1)
+            + log_choose(zeros - 1, zz - 1)
+            + (math.log(rate) if start else math.log1p(-rate))
+            + (k - mm) * l11
+            + n10 * l10
+            + n01 * l01
+            + (zeros - zz) * l00
+        )
+        yield start, mm, zz, logs
+
+
+def _log_factorials(n):
+    return np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+
+
 def run_count_log_pmf(n, rate, gamma, ks):
     """log P(g = k) for a stationary two-state Markov chain, in closed form.
 
     Counts vote vectors by their runs (Gabriel 1959, Biometrika 46): a
     vector with k ones in m 1-runs and n - k zeros in z 0-runs, starting
     with vote s, has C(k-1, m-1) C(n-k-1, z-1) arrangements, each of
-    probability start(s) t11^(k-m) (1-t11)^#10 t01^#01 (1-t01)^(n-k-z).
-    Shares nothing with the DP but the transition formulas.
+    probability start(s) t11^(k-m) (1-t11)^#10 t01^#01 (1-t01)^(n-k-z)
+    (``_run_count_terms``). Shares nothing with the DP but the
+    transition formulas.
     """
     t11 = rate + gamma * (1.0 - rate)
     t01 = rate * (1.0 - gamma)
-    l11, l10 = math.log(t11), math.log1p(-t11)
-    l01, l00 = math.log(t01), math.log1p(-t01)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-
-    def log_choose(a, b):
-        return log_fact[a] - log_fact[b] - log_fact[a - b]
-
+    log_fact = _log_factorials(n)
     out = []
     for k in ks:
         if k == 0:
-            out.append(math.log1p(-rate) + (n - 1) * l00)
+            out.append(math.log1p(-rate) + (n - 1) * math.log1p(-t01))
             continue
         if k == n:
-            out.append(math.log(rate) + (n - 1) * l11)
+            out.append(math.log(rate) + (n - 1) * math.log(t11))
             continue
-        zeros = n - k
-        m = np.arange(1, k + 1)
-        terms = []
-        for start, end in ((1, 1), (1, 0), (0, 1), (0, 0)):
-            z = m - start + (1 - end)  # 0-runs alternate with the 1-runs
-            ok = (z >= 1) & (z <= zeros)
-            mm, zz = m[ok], z[ok]
-            n10 = zz - (1 - start)  # every 0-run but a leading one
-            n01 = mm - start  # every 1-run but a leading one
-            terms.append(
-                log_choose(k - 1, mm - 1)
-                + log_choose(zeros - 1, zz - 1)
-                + (math.log(rate) if start else math.log1p(-rate))
-                + (k - mm) * l11
-                + n10 * l10
-                + n01 * l01
-                + (zeros - zz) * l00
-            )
-        logs = np.concatenate(terms)
+        logs = np.concatenate([t[-1] for t in _run_count_terms(n, rate, gamma, k, log_fact)])
         top = logs.max()
         out.append(top + math.log(np.exp(logs - top).sum()))
     return np.array(out)
+
+
+def decimal_markov_pmf_at(n, rate, gamma, k, digits=50):
+    """P(g = k) for the stationary two-state chain, as a ``Decimal``.
+
+    The run-count form of ``run_count_log_pmf``, summed in stdlib
+    ``decimal`` at ``digits`` significant digits on the exact values of
+    the double r and of the doubles (t11, t01) that
+    ``Geometric.transitions`` gives the oracle; 1 - t is exact too. The
+    float log form finds the largest term, and terms below e**-120 of it
+    are skipped: at most 4n of them, so together they move the sum by
+    less than 4n e**-120 relative, under 1e-46 up to the size guard.
+
+    Slow: 0.3-1.2 s per k at n = 20001, gamma = 0.8, and 7.5-17 s at
+    gamma = 0.3 (window edges, 2-vCPU Xeon VM).
+    """
+    t11, t01 = Geometric(gamma=gamma).transitions(rate)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one = decimal.Decimal(1)
+        r, t11, t01 = (decimal.Decimal(x) for x in (rate, t11, t01))
+        if k == 0:
+            return (one - r) * (one - t01) ** (n - 1)
+        if k == n:
+            return r * t11 ** (n - 1)
+        zeros = n - k
+        terms = list(_run_count_terms(n, rate, gamma, k, _log_factorials(n)))
+        floor = max(t[-1].max() for t in terms if len(t[-1])) - 120.0
+        total = decimal.Decimal(0)
+        for start, mm, zz, logs in terms:
+            for m, z in zip(mm[logs >= floor].tolist(), zz[logs >= floor].tolist()):
+                ways = decimal.Decimal(math.comb(k - 1, m - 1) * math.comb(zeros - 1, z - 1))
+                total += (
+                    ways
+                    * (r if start else one - r)
+                    * t11 ** (k - m)
+                    * (one - t11) ** (z - 1 + start)
+                    * t01 ** (m - start)
+                    * (one - t01) ** (zeros - z)
+                )
+        return total
 
 
 def exact_binomial_pmf(n: int, rate: float) -> list:

@@ -39,7 +39,6 @@ from votephase.oracle import (
     BINOMIAL_SIZE_GUARD,
     BRUTE_FORCE_SIZE_GUARD,
     GEOMETRIC_SIZE_GUARD,
-    VotePmf,
     brute_force_error,
     exact_vote_pmf,
 )
@@ -421,12 +420,11 @@ class TestSizeText:
              CORR_SIZE_GUARD + 1),
             (lambda v: exact_vote_pmf(Independent(), v, 0.5), BINOMIAL_SIZE_GUARD + 1),
             (lambda v: exact_vote_pmf(Geometric(gamma=0.5), v, 0.5), GEOMETRIC_SIZE_GUARD + 1),
-            (lambda v: VotePmf(n=v, mass=np.array([0.5, 0.5])), 2),
             (lambda v: sample_matrix(Independent(), 5, np.array([0.5]), v, make_rng(RngSeed(1))),
              2),
         ],
         ids=["as-size-minimum", "seed", "stream", "mc-reps", "mc-n", "binomial", "geometric",
-             "pmf-shape", "sampler-rate-shape"],
+             "sampler-rate-shape"],
     )
     def test_huge_integers_keep_their_typed_error(self, call, small):
         with pytest.raises(VotePhaseError) as expected:

@@ -48,14 +48,6 @@ class TestMcEstimate:
         assert est.value == 0.163
         assert est.std_error == pytest.approx(math.sqrt(0.163 * 0.837 / 1000))
 
-    def test_validation(self):
-        with pytest.raises(BadParameter):
-            McEstimate(value=1.2, std_error=0.0, reps=10, seed=RngSeed(seed=1))
-        with pytest.raises(BadParameter):
-            McEstimate(value=0.5, std_error=-0.1, reps=10, seed=RngSeed(seed=1))
-        with pytest.raises(BadSize):
-            McEstimate(value=0.5, std_error=0.1, reps=0, seed=RngSeed(seed=1))
-
     def test_to_dict(self):
         d = McEstimate.from_count(1, 100, RngSeed(seed=5, stream=7)).to_dict()
         assert d["seed"] == 5 and d["stream"] == 7 and d["reps"] == 100

@@ -19,7 +19,6 @@ from votephase.analytic import (
     sum_variance,
 )
 from votephase.model import (
-    BadParameter,
     EnsembleConfig,
     Equicorrelated,
     Geometric,
@@ -33,7 +32,6 @@ from votephase.oracle import (
     BRUTE_FORCE_SIZE_GUARD,
     GEOMETRIC_SIZE_GUARD,
     GEOMETRIC_THREAD_MIN_N,
-    VotePmf,
     binomial_pmf,
     brute_force_error,
     class_pmfs,
@@ -41,6 +39,7 @@ from votephase.oracle import (
     exact_vote_pmf,
 )
 from reference import (
+    decimal_markov_pmf_at,
     exact_error_fraction,
     exact_pmf,
     markov_sum_pmf_dp,
@@ -127,35 +126,12 @@ class TestBinomialPmf:
 
 
 class TestVotePmf:
-    def test_validation(self):
-        VotePmf(n=1, mass=np.array([0.5, 0.5]))
-        with pytest.raises(BadParameter):
-            VotePmf(n=2, mass=np.array([0.5, 0.5]))
-        with pytest.raises(BadParameter):
-            VotePmf(n=1, mass=np.array([0.9, 0.2]))
-        with pytest.raises(BadParameter):
-            VotePmf(n=1, mass=np.array([1.2, -0.2]))
-        for mass in ([math.nan, math.nan], [math.nan, 1.0]):
-            with pytest.raises(BadParameter):
-                VotePmf(n=1, mass=np.array(mass))
-
-    def test_subnormal_mass_reported_as_zero(self):
-        pmf = VotePmf(n=2, mass=np.array([0.5, 5e-324, 0.5]))
-        assert pmf.mass[1] == 0.0
-
     def test_mass_is_read_only(self):
-        pmf = VotePmf(n=1, mass=np.array([0.4, 0.6]))
-        with pytest.raises(ValueError):
-            pmf.mass[0] = 1.0
-
-    def test_tolerated_negatives_and_subnormals_read_zero_in_a_copy(self):
-        given = np.array([0.5, -1e-13, -0.0, 5e-324, 0.5 + 1e-13])
-        pmf = VotePmf(n=4, mass=given)
-        assert pmf.mass.tolist() == [0.5, 0.0, 0.0, 0.0, 0.5 + 1e-13]
-        assert not np.signbit(pmf.mass).any()
-        assert given.tolist() == [0.5, -1e-13, -0.0, 5e-324, 0.5 + 1e-13]
-        assert np.signbit(given[2]) and given.flags.writeable
-        assert not pmf.mass.flags.writeable
+        # Held as given, and built from the factors on first read.
+        for model in (Independent(), Equicorrelated(lam=0.3), Geometric(gamma=0.5)):
+            pmf = exact_vote_pmf(model, 3, 0.4)
+            with pytest.raises(ValueError):
+                pmf.mass[0] = 1.0
 
     def test_tails_are_complementary(self):
         pmf = exact_vote_pmf(Independent(), 9, 0.35)
@@ -326,6 +302,61 @@ _cached_pmf = functools.lru_cache(maxsize=None)(exact_vote_pmf)
 # bimodal one (long runs) whose whole support is representable.
 LARGE_GEOMETRIC = [(20001, 0.6, 0.8), (20001, 0.4, 0.3), (12001, 0.6, 0.999)]
 
+# P(g = k) at both window edges of each LARGE_GEOMETRIC pmf: the four
+# outermost reported masses on each side and the first k the oracle
+# reports as 0 (none past k = 0 or k = n), each made by
+#     f"{reference.decimal_markov_pmf_at(n, rate, gamma, k):.25e}"
+# It takes 0.3-1.2 s per k at gamma = 0.8 and 7.5-17 s at gamma = 0.3
+# on a 2-vCPU Xeon VM, too slow to run in every test run.
+DECIMAL_EDGE_PINS = {
+    (20001, 0.6, 0.8): {
+        "low": {
+            4220: "1.9417062257429763992607266e-308",
+            4221: "2.3679766666756012624045777e-308",
+            4222: "2.8877126703273159712894338e-308",
+            4223: "3.5213825421049893929605748e-308",
+            4224: "4.2939314642720549039540687e-308",
+        },
+        "high": {
+            18520: "7.1753536175123529209206795e-308",
+            18521: "5.2748790503076027140296574e-308",
+            18522: "3.8771886085393195627702123e-308",
+            18523: "2.8494203109991705837467672e-308",
+            18524: "2.0937807813489691191482505e-308",
+        },
+    },
+    (20001, 0.4, 0.3): {
+        "low": {
+            4630: "1.7215920173350089013691633e-308",
+            4631: "2.6919915387895476394515923e-308",
+            4632: "4.2086656407511498985972925e-308",
+            4633: "6.5787359636291318470094200e-308",
+            4634: "1.0281768021719813086428355e-307",
+        },
+        "high": {
+            11602: "9.8259575113453299398707483e-308",
+            11603: "6.6644252189257193447759528e-308",
+            11604: "4.5196288576677652949761523e-308",
+            11605: "3.0647503345846574053125030e-308",
+            11606: "2.0779719536037594111642261e-308",
+        },
+    },
+    (12001, 0.6, 0.999): {
+        "low": {
+            0: "2.9798971178592548108044200e-4",
+            1: "1.2169718821118047203314724e-6",
+            2: "1.2195210237012446448430760e-6",
+            3: "1.2220735376034108759633052e-6",
+        },
+        "high": {
+            11998: "1.8221287864877005244746683e-5",
+            11999: "1.8193438966573142400203970e-5",
+            12000: "1.8165607814655216784779370e-5",
+            12001: "4.9331089064918881183524028e-3",
+        },
+    },
+}
+
 
 class TestGeometricLargeN:
     def test_reference_matches_dp_exhaustively_at_small_n(self):
@@ -359,6 +390,28 @@ class TestGeometricLargeN:
         # edge masses next to tiny are held to the same bound.
         np.testing.assert_allclose(dp[reported], np.exp(log_ref[reported]), rtol=1e-10)
         assert np.all(log_ref[~reported] < math.log(TINY))
+
+    def test_decimal_reference_matches_exact_rationals(self):
+        n, rate, gamma = 60, 0.35, 0.6
+        exact = exact_pmf(Geometric(gamma=gamma), n, rate)
+        for k in range(n + 1):
+            got = Fraction(decimal_markov_pmf_at(n, rate, gamma, k))
+            assert abs(got - exact[k]) <= Fraction(1, 10**40) * exact[k], k
+
+    @pytest.mark.parametrize("n, rate, gamma", LARGE_GEOMETRIC)
+    def test_edges_match_decimal_pins(self, n, rate, gamma):
+        mass = _cached_pmf(Geometric(gamma=gamma), n, rate).mass
+        support = np.flatnonzero(mass)
+        low, high = DECIMAL_EDGE_PINS[n, rate, gamma].values()
+        # The pins hold each edge and the first zeroed k beyond it.
+        assert support[0] in low and (support[0] - 1 in low or support[0] == 0)
+        assert support[-1] in high and (support[-1] + 1 in high or support[-1] == n)
+        for k, pin in {**low, **high}.items():
+            want = float(pin)
+            if mass[k] > 0.0:
+                assert abs(mass[k] - want) <= 1e-12 * want, k
+            else:
+                assert want < TINY, k
 
     @pytest.mark.parametrize("n, rate, gamma", LARGE_GEOMETRIC)
     def test_moments(self, n, rate, gamma):
@@ -514,19 +567,28 @@ class TestPolynomialProducts:
 
 
 class TestNoSubnormals:
+    # Equicorrelated at lam = 1e-300 and r = 1 - 2**-53 or 2**-53: the
+    # shared coin's lam (1 - r) or lam r is subnormal before the flush.
     @pytest.mark.parametrize(
         "model, n, rate",
         [
             (Independent(), 1_000_000, 0.6),
             (Independent(), 1001, 0.6),
+            (Independent(), 1001, 5e-324),
             (Equicorrelated(lam=0.3), 1_000_000, 0.4),
+            (Equicorrelated(lam=1e-300), 100, 1 - 2**-53),
+            (Equicorrelated(lam=1e-300), 100, 2**-53),
             (Geometric(gamma=0.8), 20001, 0.6),
             (Geometric(gamma=0.999), 12001, 0.6),
+            (Geometric(gamma=0.3), 1001, 5e-324),
         ],
     )
     def test_no_subnormal_masses(self, model, n, rate):
         mass = _cached_pmf(model, n, rate).mass
+        assert mass.shape == (n + 1,) and not mass.flags.writeable
         assert not np.any((mass > 0.0) & (mass < TINY))
+        assert not np.any(np.signbit(mass))
+        assert abs(mass.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1001, 1_000_000, BINOMIAL_SIZE_GUARD])
     def test_binomial_pmf_direct_call(self, n):

@@ -167,12 +167,17 @@ def test_every_traced_span_is_reached(tmp_path, monkeypatch):
 
     # exact: layer_metrics keys the geometric pmf and binomial figures on
     # the detail of the pmfs that exact_error itself computes
-    for model in (Geometric(workloads.GAMMA), Independent()):
+    for model in (Geometric(workloads.GAMMA), Independent(), Equicorrelated(workloads.LAM)):
         oracle.exact_error(EnsembleConfig(21, rates, prior, model))
     _, pmf_detail, pmfs = recorded["votephase.oracle.exact_vote_pmf"]
-    assert {pmf_detail(*call)[:2] for call in pmfs} == {("geometric", 21), ("independent", 21)}
+    assert {pmf_detail(*call)[:2] for call in pmfs} == {
+        ("geometric", 21),
+        ("independent", 21),
+        ("equicorrelated", 21),
+    }
+    # oracle.binomial_pmf_s takes a sample from each binomial-backed pmf
     _, binomial_detail, binomials = recorded["votephase.oracle.binomial_pmf"]
-    assert [binomial_detail(*call) for call in binomials] == [21, 21]
+    assert [binomial_detail(*call) for call in binomials] == [21, 21, 21, 21]
     oracle.brute_force_error(EnsembleConfig(5, rates, prior, Geometric(workloads.GAMMA)))
 
     # mc: the correlation matrix is called directly; mc_error comes from simulate

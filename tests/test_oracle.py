@@ -1,8 +1,12 @@
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,62 @@ class TestExactVotePmf:
             assert pmf_variance(pmf) == pytest.approx(
                 sum_variance(model, n, r), rel=1e-9, abs=1e-12
             )
+
+    # Windows [lo, hi) that touch 0 (r = 5e-324) or n (r = 1 - 2**-53)
+    # or both (n = 1, 2); at lam = 1e-300 the shared coin's end mass is
+    # subnormal before the flush. A window narrower by one at either edge
+    # leaves a nonzero mass unscaled.
+    @pytest.mark.parametrize(
+        "n, rate, lam",
+        [
+            (1, 0.6, 0.3),
+            (2, 0.6, 0.3),
+            (1, 5e-324, 0.3),
+            (2, 1 - 2**-53, 0.3),
+            (100, 5e-324, 0.3),
+            (100, 1 - 2**-53, 0.3),
+            (100, 1 - 2**-53, 1e-300),
+            (100, 2**-53, 1e-300),
+            (101, 0.5, 0.999),
+            (1_000_000, 0.6, 0.3),
+            (1_000_000, 0.4, 1e-300),
+        ],
+    )
+    def test_equicorrelated_matches_the_full_array_mixture(self, n, rate, lam):
+        want = binomial_pmf(n, rate)
+        want *= 1.0 - lam
+        want[0] += lam * (1.0 - rate)
+        want[n] += lam * rate
+        want[want < TINY] = 0.0
+        got = exact_vote_pmf(Equicorrelated(lam=lam), n, rate).mass
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_equicorrelated_touches_only_the_window(self):
+        # The n + 1 zeros come from np.zeros, whose pages are not resident
+        # until written: scaling all of them grows the peak RSS by about
+        # 86 MiB at n = 10**7, the binomial window and its temporaries by
+        # about 6 MiB. The child reads VmHWM, its own address space's peak:
+        # its ru_maxrss starts from the spawning test process's.
+        code = """
+from votephase.model import Equicorrelated
+from votephase.oracle import exact_vote_pmf
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+exact_vote_pmf(Equicorrelated(0.3), 1000, 0.6)
+before = peak_kib()
+exact_vote_pmf(Equicorrelated(0.3), 10**7, 0.6)
+print(peak_kib() - before)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 24
 
     @pytest.mark.parametrize(
         "model", [Independent(), Equicorrelated(lam=0.3)], ids=["independent", "equicorrelated"]

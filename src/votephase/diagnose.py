@@ -7,12 +7,19 @@ error, and the phase verdict the asymptotic theory assigns to the
 estimated operating point: would an infinitely large ensemble of
 members like these beat one typical member, lose to it, or tie.
 
+Every rate, standard error and correlation is a function of exact
+integer counts of the 0/1 votes, read from one integer Gram matrix per
+class, so a pooled rate of exactly 1/2 is reported as 1/2, and each
+rate, standard error and pairwise correlation is within a few ulps of
+its exact value.
+
 The verdict is a plug-in of point estimates into a discontinuous
 function, so the report attaches warnings whenever that is fragile:
 rate estimates at the {0, 1} boundary (clamped before the verdict),
-rate estimates within two standard errors of the 1/2 phase boundary,
-and mean within-class correlation at or above 0.5, where the weak
-dependence behind the asymptotic limit is no longer credible.
+rate estimates exactly on the 1/2 phase boundary or within two
+standard errors of it, and mean within-class correlation at or above
+0.5, where the weak dependence behind the asymptotic limit is no
+longer credible.
 
 The package imports this module eagerly, so numpy is imported inside
 the functions that compute with arrays, not at module level.
@@ -25,7 +32,6 @@ import csv
 import io
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Union
 
@@ -36,6 +42,7 @@ from .model import (
     Prior,
     RatePair,
     VotePhaseError,
+    _check_guard,
 )
 
 # Verdict clamp for boundary estimates; the analysis excludes closed
@@ -43,6 +50,13 @@ from .model import (
 RATE_CLAMP = 1e-9
 
 HIGH_CORRELATION = 0.5
+
+# Largest class diagnose accepts, in rows; see _class_counts.
+CLASS_ROWS_GUARD = 2**31
+
+# Rows per float32 Gram slice: fewer than 2**24, so every count in it
+# is exact, and few enough that the slice's float32 copy stays small.
+_GRAM_ROWS = 2**16
 
 
 class SingleClassData(VotePhaseError, ValueError):
@@ -152,41 +166,54 @@ def _finite(x: float) -> Union[float, None]:
     return x if math.isfinite(x) else None
 
 
-def _mean_pairwise_correlation(block: np.ndarray) -> tuple:
-    """Mean off-diagonal Pearson correlation, nan-skipping.
+def _class_counts(block: np.ndarray) -> tuple:
+    """Rates, SE and correlations of one class's 0/1 block, from exact counts.
 
-    Constant columns have no defined correlation; their pairs are
-    excluded and reported back for a warning. Returns (mean, corr
-    matrix, list of constant column indices); mean is nan when no
-    valid pair exists.
+    One Gram G = block.T @ block holds them all: its diagonal gives the
+    column counts n_i, its off-diagonal the pair counts n_ij, and its
+    sum S2 the sum of the squared row sums. With N rows, m columns and
+    S1 = sum n_i, the pooled rate S1 / (N m) and the SE of the mean of
+    the per-row vote averages, sqrt((N S2 - S1^2) / (N^2 (N - 1) m^2)),
+    are each one correctly rounded division of exact integers. That SE
+    honors within-row correlation without modeling it. The Pearson
+    correlation of columns i and j is (N n_ij - n_i n_j) / sqrt(v_i v_j)
+    with v_i = N n_i - n_i^2; a constant column has v_i = 0, so its
+    pairs are nan and its index is reported back for a warning.
+
+    Returns (member rates, pooled rate, SE, mean correlation, correlation
+    matrix, constant column indices). With fewer than 2 rows the SE is
+    nan; with fewer than 2 rows or columns the mean correlation is nan
+    and the matrix None.
     """
     import numpy as np
 
-    m = block.shape[1]
-    if block.shape[0] < 2 or m < 2:
-        return float("nan"), None, []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(block, rowvar=False)
-    # Only a zero-variance column gives 0/0 on the diagonal.
-    constant = np.flatnonzero(np.isnan(np.diag(corr))).tolist()
-    off = corr[~np.eye(m, dtype=bool)]
-    valid = off[~np.isnan(off)]
-    mean = float(valid.mean()) if valid.size else float("nan")
-    return mean, corr, constant
+    rows, m = block.shape
+    # N * n_ij reaches N**2, which fits in int64 for N <= 2**31.
+    _check_guard("diagnose class rows", rows, CLASS_ROWS_GUARD)
+    gram = np.zeros((m, m), dtype=np.int64)
+    for lo in range(0, rows, _GRAM_ROWS):
+        chunk = block[lo : lo + _GRAM_ROWS].astype(np.float32)
+        gram += (chunk.T @ chunk).astype(np.int64)
+    counts = np.diag(gram)
+    s1, s2 = int(counts.sum()), int(gram.sum())
+    rates, rate = counts / rows, s1 / (rows * m)
+    scale = rows * rows * (rows - 1) * m * m
+    se = math.sqrt((rows * s2 - s1 * s1) / scale) if scale else float("nan")
+    if rows < 2 or m < 2:
+        return rates, rate, se, float("nan"), None, []
+    var = (rows * counts - counts * counts).astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        corr = (rows * gram - np.outer(counts, counts)) / np.sqrt(np.outer(var, var))
+    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
+    return rates, rate, se, mean, corr, np.flatnonzero(var == 0).tolist()
 
 
-def _ensemble_mean_std_error(block: np.ndarray) -> float:
-    """SE of the class's pooled rate estimate.
+def _nanmean(values: np.ndarray) -> float:
+    """Mean of the entries that are not nan; nan when there are none."""
+    import numpy as np
 
-    The estimate is the mean over samples of the per-sample ensemble
-    vote average; the per-sample averages are i.i.d., so their sample
-    standard deviation over sqrt(N) is an SE that honors within-row
-    correlation without modeling it.
-    """
-    row_means = block.mean(axis=1)
-    if row_means.shape[0] < 2:
-        return float("nan")
-    return float(row_means.std(ddof=1) / math.sqrt(row_means.shape[0]))
+    valid = values[~np.isnan(values)]
+    return float(valid.mean()) if valid.size else float("nan")
 
 
 def _lag_means(corr: Union[np.ndarray, None]) -> Union[np.ndarray, None]:
@@ -194,12 +221,7 @@ def _lag_means(corr: Union[np.ndarray, None]) -> Union[np.ndarray, None]:
 
     if corr is None:
         return None
-    m = corr.shape[0]
-    # A lag with no valid pair has mean nan; numpy's "Mean of empty
-    # slice" warning would reach stderr.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.array([float(np.nanmean(np.diag(corr, k))) for k in range(1, m)])
+    return np.array([_nanmean(np.diag(corr, k)) for k in range(1, corr.shape[0])])
 
 
 def diagnose(
@@ -221,22 +243,14 @@ def diagnose(
     labels = matrix.labels
     warnings: list = []
 
-    class1 = votes[labels == 1]
-    class0 = votes[labels == 0]
-    p_hat_i = class1.mean(axis=0)
-    q_hat_i = class0.mean(axis=0)
-    p_hat = float(p_hat_i.mean())
-    q_hat = float(q_hat_i.mean())
-    p_se = _ensemble_mean_std_error(class1)
-    q_se = _ensemble_mean_std_error(class0)
+    p_hat_i, p_hat, p_se, corr1, corr1_matrix, constant1 = _class_counts(votes[labels == 1])
+    q_hat_i, q_hat, q_se, corr0, corr0_matrix, constant0 = _class_counts(votes[labels == 0])
 
     if prior_override is not None:
         pi_used, pi_source = prior_override.pi, "override"
     else:
         pi_used, pi_source = float(labels.mean()), "estimated"
 
-    corr1, corr1_matrix, constant1 = _mean_pairwise_correlation(class1)
-    corr0, corr0_matrix, constant0 = _mean_pairwise_correlation(class0)
     for cls, constant in ((1, constant1), (0, constant0)):
         if constant:
             warnings.append(

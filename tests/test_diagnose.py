@@ -1,7 +1,10 @@
+import importlib
 import io
 import json
 import math
 import tempfile
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votephase.analytic import Phase, limiting_delta
+from votephase.analytic import Phase, Side, limiting_delta
+from votephase.cli import main
 from votephase.diagnose import (
     NonBinaryEntry,
     PredictionMatrix,
@@ -28,6 +32,7 @@ from votephase.model import (
     Independent,
     Prior,
     RatePair,
+    SizeGuardExceeded,
 )
 from votephase.oracle import exact_error
 from votephase.sampler import RngSeed, make_rng
@@ -197,6 +202,115 @@ class TestDiagnose:
             RatePair(p=report.p_hat, q=report.q_hat), Prior(pi=report.pi_used)
         )
         assert report.verdict == twin
+
+
+def _decimal_sqrt(x: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def _within_ulps(value: float, exact: Decimal, ulps: int) -> bool:
+    return abs(Decimal(value) - exact) <= ulps * Decimal(math.ulp(float(exact)))
+
+
+def _exact_correlation(a: list, b: list):
+    """Pearson correlation of two 0/1 columns from its definition in
+    exact rationals, as a 50-digit Decimal; None for a constant column."""
+    n = len(a)
+    ma, mb = Fraction(sum(a), n), Fraction(sum(b), n)
+    cov = sum((x - ma) * (y - mb) for x, y in zip(a, b))
+    va, vb = sum((x - ma) ** 2 for x in a), sum((y - mb) ** 2 for y in b)
+    if va == 0 or vb == 0:
+        return None
+    root = _decimal_sqrt(cov * cov / (va * vb))
+    return root if cov >= 0 else -root
+
+
+class TestExactCounts:
+    def test_pooled_rate_of_exactly_half_is_on_the_boundary(self):
+        # 336 ones in 56 x 12 class-1 votes: the mean of the 12 member
+        # rates rounds to 0.5000000000000001, the count ratio is 1/2.
+        counts = np.array([25, 26, 29, 22, 35, 31, 24, 20, 34, 31, 31, 28])
+        class1 = (np.arange(56)[:, None] - 5 * np.arange(12)) % 56 < counts
+        class0 = np.arange(40)[:, None] % 4 == np.arange(12) % 4
+        labels = np.r_[np.ones(56, dtype=int), np.zeros(40, dtype=int)]
+        report = diagnose(PredictionMatrix(labels=labels, votes=np.r_[class1, class0]))
+        assert report.p_hat == 0.5 and report.q_hat == 0.25
+        assert report.verdict.p_side is Side.ON
+        assert report.warnings == [
+            "p_hat sits exactly on the 1/2 boundary; phase taken from the boundary row/column"
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rates_se_and_correlations_match_exact_rationals(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 5
+        labels = np.r_[[0, 1], rng.integers(0, 2, size=int(rng.integers(8, 120)))]
+        # a shared latent draw correlates the members
+        latent = rng.random(labels.size)[:, None]
+        mix = rng.random(m)
+        votes = mix * latent + (1 - mix) * rng.random((labels.size, m)) < rng.random(m)
+        matrix = PredictionMatrix(labels=labels, votes=votes)
+        report = diagnose(matrix)
+        for cls, rates, rate, se in (
+            (1, report.p_hat_i, report.p_hat, report.p_std_error),
+            (0, report.q_hat_i, report.q_hat, report.q_std_error),
+        ):
+            block = matrix.votes[matrix.labels == cls].astype(int).tolist()
+            n = len(block)
+            columns = [list(col) for col in zip(*block)]
+            assert rates.tolist() == [float(Fraction(sum(col), n)) for col in columns]
+            assert rate == float(Fraction(sum(map(sum, block)), n * m))
+            row_means = [Fraction(sum(row), m) for row in block]
+            mean = sum(row_means) / n
+            variance = sum((x - mean) ** 2 for x in row_means) / (n - 1)
+            assert _within_ulps(se, _decimal_sqrt(variance / n), 1)
+        # A two-column matrix reports its one correlation as its lag-1 mean.
+        for i in range(m):
+            for j in range(i + 1, m):
+                pair = PredictionMatrix(labels=labels, votes=votes[:, [i, j]])
+                pair_report = diagnose(pair, assume_ordered=True)
+                for cls, lag in (
+                    (1, pair_report.lag_means_class1),
+                    (0, pair_report.lag_means_class0),
+                ):
+                    block = pair.votes[pair.labels == cls].astype(int)
+                    exact = _exact_correlation(block[:, 0].tolist(), block[:, 1].tolist())
+                    if exact is None:
+                        assert math.isnan(lag[0])
+                    else:
+                        assert _within_ulps(lag[0], exact, 4), (cls, i, j)
+
+
+    def test_gram_slices_sum_to_the_whole(self, monkeypatch):
+        matrix = _synthetic(0.6, 0.4, model=Geometric(gamma=0.5), n_samples=300, m=7, seed=43)
+        whole = diagnose(matrix, assume_ordered=True).to_dict()
+        module = importlib.import_module("votephase.diagnose")
+        monkeypatch.setattr(module, "_GRAM_ROWS", 16)
+        assert diagnose(matrix, assume_ordered=True).to_dict() == whole
+
+
+class TestClassRowsGuard:
+    @pytest.fixture
+    def small_guard(self, monkeypatch):
+        # The guard's own value would need a class of 2**31 rows.
+        module = importlib.import_module("votephase.diagnose")
+        monkeypatch.setattr(module, "CLASS_ROWS_GUARD", 3)
+
+    def test_library_refuses_a_class_over_the_guard(self, small_guard):
+        matrix = PredictionMatrix(labels=[1, 1, 1, 0, 0, 0, 0], votes=[[1]] * 7)
+        with pytest.raises(SizeGuardExceeded, match="^diagnose class rows=4 exceeds guard 3$"):
+            diagnose(matrix)
+        assert diagnose(PredictionMatrix(labels=[1, 0, 0, 0], votes=[[1]] * 4)).q_hat == 1.0
+
+    def test_cli_prints_one_error_line(self, small_guard, capsys, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("y,f1\n" + "1,1\n" * 4 + "0,0\n")
+        assert main(["diagnose", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "votephase: error: diagnose class rows=4 exceeds guard 3\n"
 
 
 class TestReportSerialization:

@@ -254,6 +254,52 @@ def test_closed_form_modules_name_no_model_class(name):
     assert names & {"Independent", "Geometric", "Equicorrelated"} == set()
 
 
+def _imported_names(source: str) -> set:
+    """Every dotted-name part an import in ``source`` names, at any depth:
+    ``from .oracle import f`` and ``from . import oracle`` both give
+    ``oracle``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names - {""}
+
+
+def _package_modules_loaded_by(name: str) -> set:
+    """``name`` and every package module its imports reach."""
+    stems = {path.stem for path in PACKAGE}
+    seen, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            source = (ROOT / "src" / "votephase" / f"{module}.py").read_text()
+            todo += sorted(_imported_names(source) & stems)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["montecarlo", "sampler"])
+def test_monte_carlo_never_imports_the_oracle(name):
+    # Monte Carlo is the oracle's independent check, so it shares no
+    # code with it, directly or through another package module.
+    loaded = _package_modules_loaded_by(name)
+    assert name in loaded and "oracle" not in loaded
+
+
+def test_scan_finds_an_oracle_import():
+    for source in [
+        "from .oracle import exact_error\n",
+        "from . import oracle\n",
+        "import votephase.oracle\n",
+        "def f():\n    from votephase import oracle as o\n    return o\n",
+    ]:
+        assert "oracle" in _imported_names(source), source
+    assert _imported_names("from .model import oracle_free, x\n") == {"model", "oracle_free", "x"}
+
+
 def test_one_module_rejects_an_unknown_model():
     holders = [path.name for path in PACKAGE if "unknown correlation model" in path.read_text()]
     assert holders == ["model.py"]

@@ -175,10 +175,9 @@ def _class_counts(block: np.ndarray) -> tuple:
     S1 = sum n_i, the pooled rate S1 / (N m) and the SE of the mean of
     the per-row vote averages, sqrt((N S2 - S1^2) / (N^2 (N - 1) m^2)),
     are each one correctly rounded division of exact integers. That SE
-    honors within-row correlation without modeling it. The Pearson
-    correlation of columns i and j is (N n_ij - n_i n_j) / sqrt(v_i v_j)
-    with v_i = N n_i - n_i^2; a constant column has v_i = 0, so its
-    pairs are nan and its index is reported back for a warning.
+    honors within-row correlation without modeling it. The correlations
+    come from _gram_correlation; a constant column's pairs are nan and
+    its index is reported back for a warning.
 
     Returns (member rates, pooled rate, SE, mean correlation, correlation
     matrix, constant column indices). With fewer than 2 rows the SE is
@@ -201,11 +200,31 @@ def _class_counts(block: np.ndarray) -> tuple:
     se = math.sqrt((rows * s2 - s1 * s1) / scale) if scale else float("nan")
     if rows < 2 or m < 2:
         return rates, rate, se, float("nan"), None, []
+    corr, constant = _gram_correlation(gram, rows)
+    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
+    return rates, rate, se, mean, corr, constant
+
+
+def _gram_correlation(gram: np.ndarray, rows: int) -> tuple:
+    """Pearson correlations of 0/1 columns from their exact int64 Gram.
+
+    With N = rows, column counts n_i on the diagonal and pair counts
+    n_ij off it, the correlation of columns i and j is
+    (N n_ij - n_i n_j) / sqrt(v_i v_j) with v_i = N n_i - n_i^2. The
+    numerators are exact in int64 while N <= 2**31 (N n_ij reaches
+    N**2), so each entry is within a few ulps of its exact value and the
+    diagonal, v_i / sqrt(v_i v_i), is exactly 1.0. A constant column has
+    v_i = 0 and nan pairs.
+
+    Returns (correlation matrix, constant column indices).
+    """
+    import numpy as np
+
+    counts = np.diag(gram)
     var = (rows * counts - counts * counts).astype(np.float64)
     with np.errstate(invalid="ignore"):
         corr = (rows * gram - np.outer(counts, counts)) / np.sqrt(np.outer(var, var))
-    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
-    return rates, rate, se, mean, corr, np.flatnonzero(var == 0).tolist()
+    return corr, np.flatnonzero(var == 0).tolist()
 
 
 def _nanmean(values: np.ndarray) -> float:

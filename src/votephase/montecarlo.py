@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .diagnose import _gram_correlation, _lag_means
 from .model import (
     CorrelationModel,
     EnsembleConfig,
@@ -42,12 +43,14 @@ MC_SIZE_GUARD = 10_000
 
 # About 61,000 chunks. The chunk sizes and the pool's futures are all
 # built up front, and 10**18 reps would exhaust memory before the first
-# draw; refuse larger counts instead.
+# draw; refuse larger counts instead. It must stay at or below
+# diagnose.CLASS_ROWS_GUARD: mc_correlation_matrix forms reps * n_ij in
+# int64, which is exact only while reps <= 2**31.
 MC_REPS_GUARD = 10**9
 
 # mc_correlation_matrix holds several n x n arrays (the chunk Gram
-# matrices, their sum, the covariance and the correlation); at
-# MC_SIZE_GUARD they would take gigabytes.
+# matrices, their int64 sum, the correlation numerator and the
+# correlation); at MC_SIZE_GUARD they would take gigabytes.
 CORR_SIZE_GUARD = 1000
 
 
@@ -89,12 +92,6 @@ class McEstimate:
         }
 
 
-def _ensemble_size(n: int, minimum: int = 1, guard: int = MC_SIZE_GUARD) -> int:
-    n = _as_size(n, "n", minimum)
-    _check_guard("Monte Carlo n", n, guard)
-    return n
-
-
 def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
     """fn(rng, m) for each chunk of the reps, yielded in chunk order.
 
@@ -125,12 +122,12 @@ def _majority_error(cfg: EnsembleConfig, reps: int, seed: RngSeed, classes: Call
     and their vote rates, each an array of m or one value for all m.
     """
     reps = _as_size(reps, "reps", minimum=100)
-    n = _ensemble_size(cfg.n)
+    _check_guard("Monte Carlo n", cfg.n, MC_SIZE_GUARD)
 
     def count(rng: np.random.Generator, m: int) -> int:
         labels, rates = classes(rng, m)
-        votes = sample_matrix(cfg.model, n, rates, m, rng)
-        return int(((2 * votes.sum(axis=1, dtype=np.int64) > n) != labels).sum())
+        votes = sample_matrix(cfg.model, cfg.n, rates, m, rng)
+        return int(((2 * votes.sum(axis=1, dtype=np.int64) > cfg.n) != labels).sum())
 
     return McEstimate.from_count(sum(_per_chunk(reps, seed, count)), reps, seed)
 
@@ -183,40 +180,33 @@ def mc_correlation_matrix(
     reps: int,
     seed: RngSeed,
 ) -> CorrelationSummary:
-    """Unbiased sample correlations between vote positions.
+    """Pearson correlations between vote positions, from exact counts.
 
-    Adds each chunk's first and second moments as the chunk ends, in
-    chunk order, then forms the sample covariance with ddof=1. A chunk's
-    moments are computed in float32, which holds them exactly: each is
-    a count of at most CHUNK_REPS < 2**24 ones. They are summed over
-    chunks in float64. ``lag_means`` holds the mean correlation at each
+    Each chunk's Gram matrix of its 0/1 votes (the count of ones at each
+    position and of joint ones at each pair) is computed in float32,
+    which holds it exactly: each entry counts at most CHUNK_REPS < 2**24
+    ones. The chunk Grams are summed in int64, and
+    ``diagnose._gram_correlation`` turns the total into correlations,
+    each within a few ulps of its exact value, with a diagonal of
+    exactly 1.0. ``lag_means`` holds the mean correlation at each
     positive lag (the gamma**k diagnostic).
     """
-    n = _ensemble_size(n, minimum=2, guard=CORR_SIZE_GUARD)
+    n = _as_size(n, "n", minimum=2)
+    _check_guard("Monte Carlo n", n, CORR_SIZE_GUARD)
     reps = _as_size(reps, "reps", minimum=10_000)
     r = _as_probability(rate, "rate")
 
-    def moments(rng: np.random.Generator, m: int) -> tuple:
+    def gram(rng: np.random.Generator, m: int) -> np.ndarray:
         votes = sample_matrix(model, n, r, m, rng).astype(np.float32)
-        return votes.sum(axis=0), votes.T @ votes
+        return (votes.T @ votes).astype(np.int64)
 
-    s1 = np.zeros(n)
-    s2 = np.zeros((n, n))
-    for a, b in _per_chunk(reps, seed, moments):
-        s1 += a
-        s2 += b
-    mean = s1 / reps
-    cov = (s2 - reps * np.outer(mean, mean)) / (reps - 1)
-    variances = np.diag(cov).copy()
-    if np.any(variances <= 0.0):
-        dead = np.flatnonzero(variances <= 0.0).tolist()
+    corr, constant = _gram_correlation(sum(_per_chunk(reps, seed, gram)), reps)
+    if constant:
         raise DegenerateVariance(
-            f"zero empirical variance at positions {dead}; "
+            f"zero empirical variance at positions {constant}; "
             f"rate {r} too extreme for reps={reps}"
         )
-    corr = cov / np.sqrt(np.outer(variances, variances))
-    np.fill_diagonal(corr, 1.0)
-    lag_means = np.array([np.mean(np.diag(corr, k)) for k in range(1, n)])
+    lag_means = _lag_means(corr)
     corr.flags.writeable = False
     lag_means.flags.writeable = False
     return CorrelationSummary(correlation=corr, lag_means=lag_means)

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -318,6 +319,37 @@ def off_diagonal_mean(correlation: np.ndarray) -> float:
     diagnostic of ``mc_correlation_matrix``)."""
     off_mask = ~np.eye(correlation.shape[0], dtype=bool)
     return float(correlation[off_mask].mean())
+
+
+def decimal_sqrt(x: Fraction) -> decimal.Decimal:
+    """Square root of an exact rational to 50 significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return (decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)).sqrt()
+
+
+def within_ulps(value: float, exact: decimal.Decimal, ulps: int) -> bool:
+    """True when the double ``value`` is within ``ulps`` ulps of ``exact``."""
+    return abs(decimal.Decimal(value) - exact) <= ulps * decimal.Decimal(math.ulp(float(exact)))
+
+
+def exact_correlation(a: list, b: list):
+    """Pearson correlation of two columns from its definition in exact
+    rationals, as a 50-digit Decimal; None for a constant column.
+
+    Equal (a, b) rows add equal terms to each sum, so each sum runs over
+    the distinct rows, weighted by how often they occur.
+    """
+    n = len(a)
+    ma, mb = Fraction(sum(a), n), Fraction(sum(b), n)
+    rows = Counter(zip(a, b)).items()
+    cov = sum(c * (x - ma) * (y - mb) for (x, y), c in rows)
+    va = sum(c * (x - ma) ** 2 for (x, _), c in rows)
+    vb = sum(c * (y - mb) ** 2 for (_, y), c in rows)
+    if va == 0 or vb == 0:
+        return None
+    root = decimal_sqrt(cov * cov / (va * vb))
+    return root if cov >= 0 else -root
 
 
 def sample_labeled_votes(

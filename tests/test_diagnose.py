@@ -3,7 +3,6 @@ import io
 import json
 import math
 import tempfile
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +36,13 @@ from votephase.model import (
 from votephase.oracle import exact_error
 from votephase.sampler import RngSeed, make_rng
 
-from reference import parse_outcome as _outcome, sample_labeled_votes
+from reference import (
+    decimal_sqrt,
+    exact_correlation,
+    parse_outcome as _outcome,
+    sample_labeled_votes,
+    within_ulps,
+)
 
 
 def _synthetic(p, q, pi=0.5, n_samples=10_000, m=25, model=None, seed=1):
@@ -204,29 +209,6 @@ class TestDiagnose:
         assert report.verdict == twin
 
 
-def _decimal_sqrt(x: Fraction) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
-
-
-def _within_ulps(value: float, exact: Decimal, ulps: int) -> bool:
-    return abs(Decimal(value) - exact) <= ulps * Decimal(math.ulp(float(exact)))
-
-
-def _exact_correlation(a: list, b: list):
-    """Pearson correlation of two 0/1 columns from its definition in
-    exact rationals, as a 50-digit Decimal; None for a constant column."""
-    n = len(a)
-    ma, mb = Fraction(sum(a), n), Fraction(sum(b), n)
-    cov = sum((x - ma) * (y - mb) for x, y in zip(a, b))
-    va, vb = sum((x - ma) ** 2 for x in a), sum((y - mb) ** 2 for y in b)
-    if va == 0 or vb == 0:
-        return None
-    root = _decimal_sqrt(cov * cov / (va * vb))
-    return root if cov >= 0 else -root
-
-
 class TestExactCounts:
     def test_pooled_rate_of_exactly_half_is_on_the_boundary(self):
         # 336 ones in 56 x 12 class-1 votes: the mean of the 12 member
@@ -265,7 +247,7 @@ class TestExactCounts:
             row_means = [Fraction(sum(row), m) for row in block]
             mean = sum(row_means) / n
             variance = sum((x - mean) ** 2 for x in row_means) / (n - 1)
-            assert _within_ulps(se, _decimal_sqrt(variance / n), 1)
+            assert within_ulps(se, decimal_sqrt(variance / n), 1)
         # A two-column matrix reports its one correlation as its lag-1 mean.
         for i in range(m):
             for j in range(i + 1, m):
@@ -276,11 +258,11 @@ class TestExactCounts:
                     (0, pair_report.lag_means_class0),
                 ):
                     block = pair.votes[pair.labels == cls].astype(int)
-                    exact = _exact_correlation(block[:, 0].tolist(), block[:, 1].tolist())
+                    exact = exact_correlation(block[:, 0].tolist(), block[:, 1].tolist())
                     if exact is None:
                         assert math.isnan(lag[0])
                     else:
-                        assert _within_ulps(lag[0], exact, 4), (cls, i, j)
+                        assert within_ulps(lag[0], exact, 4), (cls, i, j)
 
 
     def test_gram_slices_sum_to_the_whole(self, monkeypatch):

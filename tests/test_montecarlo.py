@@ -8,6 +8,7 @@ import pytest
 
 from votephase import montecarlo
 from votephase.analytic import estimated_error, mean_individual_error
+from votephase.diagnose import CLASS_ROWS_GUARD
 from votephase.model import (
     BadParameter,
     BadSize,
@@ -31,9 +32,9 @@ from votephase.montecarlo import (
     mc_error,
 )
 from votephase.oracle import exact_error
-from votephase.sampler import RngSeed, make_rng
+from votephase.sampler import RngSeed, make_rng, sample_matrix
 
-from reference import off_diagonal_mean
+from reference import exact_correlation, off_diagonal_mean, within_ulps
 
 
 def _cfg(n, p, q, pi=0.5, model=None):
@@ -199,8 +200,39 @@ class TestMcCorrelationMatrix:
         np.testing.assert_array_equal(a.correlation, b.correlation)
         assert off_diagonal_mean(a.correlation) == off_diagonal_mean(b.correlation)
 
+    @pytest.mark.parametrize(
+        "model, n, rate, reps, seed",
+        [
+            (Geometric(gamma=0.3), 5, 0.45, 10_000, 6),
+            (Independent(), 6, 0.5, 30_000, 5),
+            # three chunks each
+            (Independent(), 4, 0.3, 40_000, 1),
+            (Equicorrelated(lam=0.2), 4, 0.3, 40_000, 7),
+        ],
+    )
+    def test_correlations_match_exact_rationals(self, model, n, rate, reps, seed):
+        s = mc_correlation_matrix(model, n, rate, reps, RngSeed(seed=seed))
+        full, rest = divmod(reps, CHUNK_REPS)
+        sizes = [CHUNK_REPS] * full + ([rest] if rest else [])
+        votes = np.concatenate([
+            sample_matrix(model, n, rate, size, make_rng(RngSeed(seed=seed), i))
+            for i, size in enumerate(sizes)
+        ]).astype(int)
+        columns = votes.T.tolist()
+        for i in range(n):
+            assert s.correlation[i, i] == 1.0
+            for j in range(n):
+                if i != j:
+                    exact = exact_correlation(columns[i], columns[j])
+                    assert within_ulps(s.correlation[i, j], exact, 4), (i, j)
+
+    def test_reps_guard_keeps_the_count_numerators_in_int64(self):
+        # reps * n_ij is exact in int64 only for the row counts
+        # diagnose accepts
+        assert MC_REPS_GUARD <= CLASS_ROWS_GUARD
+
     def test_peak_memory_flat_in_chunk_count(self, monkeypatch):
-        # each chunk's n x n float32 Gram matrix is added as it arrives;
+        # each chunk's n x n Gram matrix is added as it arrives;
         # holding them all until the last chunk grew the peak by one
         # Gram matrix per chunk
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)

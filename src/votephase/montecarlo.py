@@ -4,8 +4,9 @@ Replications are split into fixed-size chunks. Chunk i draws all of its
 randomness from the substream ``make_rng(seed, i)``, and chunk results
 are reduced in chunk-index order, so the estimate is a pure function of
 (config, reps, seed): bit-identical across runs, thread counts, and
-scheduling. Chunks run on one worker thread per CPU this process may
-use, at most one per chunk; the thread count only changes wall time.
+scheduling. Chunks run through ``model._thread_map`` with one worker
+requested per chunk, so on one thread per CPU this process may use, at
+most one per chunk; the thread count only changes wall time.
 
 Standard errors use the plug-in binomial formula sqrt(v (1 - v) / reps);
 replications are independent by construction so no batching correction
@@ -15,7 +16,6 @@ is needed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,7 +29,7 @@ from .model import (
     _as_probability,
     _as_size,
     _check_guard,
-    _cpus,
+    _thread_map,
 )
 from .sampler import RngSeed, make_rng, sample_matrix
 
@@ -97,8 +97,10 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
 
     Chunk i holds CHUNK_REPS replications (the last one the remainder)
     and draws from ``make_rng(seed, i)``, so the results do not depend
-    on how many workers run the chunks. Callers reduce each result as
-    it arrives, so earlier results need not stay alive.
+    on how many workers run the chunks. ``_thread_map`` runs them, one
+    worker requested per chunk. Callers reduce each result as it
+    arrives, so earlier results need not stay alive, and read them all,
+    so the pool is joined before they return.
     """
     _check_guard("Monte Carlo reps", reps, MC_REPS_GUARD)
     full, rest = divmod(reps, CHUNK_REPS)
@@ -107,12 +109,7 @@ def _per_chunk(reps: int, seed: RngSeed, fn: Callable) -> Iterator:
     def chunk(i: int):
         return fn(make_rng(seed, i), sizes[i])
 
-    workers = min(len(sizes), _cpus())
-    if workers == 1:
-        yield from map(chunk, range(len(sizes)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(chunk, range(len(sizes)))
+    yield from _thread_map(chunk, range(len(sizes)), len(sizes))
 
 
 def _majority_error(cfg: EnsembleConfig, reps: int, seed: RngSeed, classes: Callable) -> McEstimate:

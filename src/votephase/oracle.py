@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .model import (
     _as_probability,
     _as_size,
     _check_guard,
-    _cpus,
+    _thread_map,
     check_model,
 )
 
@@ -403,21 +402,20 @@ def error_from_pmfs(pmf_p: VotePmf, pmf_q: VotePmf, pi: float) -> float:
 def class_pmfs(cfg: EnsembleConfig) -> tuple:
     """(pmf at p, pmf at q) of the vote sum, from ``exact_vote_pmf``.
 
-    A geometric pair with n >= ``GEOMETRIC_THREAD_MIN_N`` is computed on
-    two worker threads when the process may use more than one CPU: the
-    large convolutions run without the GIL. The results are read in
-    order, p first, so the caller gets the same values and the same
-    error as from the pmfs in turn; both workers are joined before the
-    call returns or raises.
+    A geometric pair with n >= ``GEOMETRIC_THREAD_MIN_N`` asks
+    ``model._thread_map`` for two workers, which it gets when the
+    process may use more than one CPU: the large convolutions run
+    without the GIL. Any other pair asks for one and is computed on the
+    calling thread. The results are read in order, p first, so the
+    caller gets the same values and the same error as from the pmfs in
+    turn; both are read, so the workers are joined before the call
+    returns or raises.
     """
     def pmf(rate: float) -> VotePmf:
         return exact_vote_pmf(cfg.model, cfg.n, rate)
 
-    rates = (cfg.rates.p, cfg.rates.q)
-    if not isinstance(cfg.model, Geometric) or cfg.n < GEOMETRIC_THREAD_MIN_N or _cpus() < 2:
-        return tuple(map(pmf, rates))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return tuple(pool.map(pmf, rates))
+    threaded = isinstance(cfg.model, Geometric) and cfg.n >= GEOMETRIC_THREAD_MIN_N
+    return tuple(_thread_map(pmf, (cfg.rates.p, cfg.rates.q), 2 if threaded else 1))
 
 
 def exact_error(cfg: EnsembleConfig) -> float:

@@ -303,7 +303,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
         blobs = []
         for i, cpus in enumerate((1, 1, 8)):
             out = tmp_path / f"sim{i}.json"
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             code = main([*sim_base, "--out", str(out)])
             assert code == 0
             blobs.append(out.read_bytes())

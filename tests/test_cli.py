@@ -436,7 +436,7 @@ class TestOracle:
                 "--model", "geometric", "--gamma", "0.8", "--pmf"]
         paths = [tmp_path / f"run{i}.json" for i in range(3)]
         for path, cpus in zip(paths, (1, 1, 8)):
-            monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             assert main([*args, "--out", str(path)]) == 0
         capsys.readouterr()
         blobs = [p.read_bytes() for p in paths]
@@ -463,7 +463,7 @@ class TestSimulate:
     def test_identical_across_runs_and_threads(self, capsys, tmp_path, monkeypatch):
         paths = [tmp_path / f"run{i}.json" for i in range(3)]
         for path, cpus in zip(paths, (1, 1, 8)):
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             assert main([*self.ARGS, "--out", str(path)]) == 0
         capsys.readouterr()
         blobs = [p.read_bytes() for p in paths]

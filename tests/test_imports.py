@@ -11,6 +11,9 @@ A private module-level name must be read by some module. A public one
 in ``src/votephase`` must be read by some module there or be named in
 README.md, and every function or constant the package exports must be
 named in README.md: helpers only the tests use live in ``tests/``.
+
+Threads are started in one place: only ``model.py`` names
+``ThreadPoolExecutor``, and only ``model._thread_map`` counts the CPUs.
 """
 
 import ast
@@ -207,8 +210,9 @@ def test_diagnose_stays_the_function_after_its_module_is_imported():
 
 def test_closed_form_subcommands_start_without_numpy():
     # analytic and phase-grid compute with math alone, so neither they nor
-    # the package and cli imports load numpy or the numpy-backed layers;
-    # oracle and simulate load them on first use and print what they did.
+    # the package and cli imports load numpy, the numpy-backed layers or
+    # the thread pool; oracle and simulate load them on first use and
+    # print what they did.
     code = """
 import contextlib, io, json, sys
 import votephase
@@ -227,7 +231,8 @@ loaded = sorted(set(sys.modules) & set(json.loads(sys.argv[2])))
 printed.update((name, run(cases[name])) for name in ("oracle-geometric-json", "simulate-geometric-csv"))
 print(json.dumps({"loaded": loaded, "printed": printed}))
 """
-    heavy = ["numpy", "votephase.oracle", "votephase.montecarlo", "votephase.sampler"]
+    heavy = ["numpy", "votephase.oracle", "votephase.montecarlo", "votephase.sampler",
+             "concurrent.futures"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-c", code, json.dumps(CASES), json.dumps(heavy)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True)
@@ -303,6 +308,51 @@ def test_scan_finds_an_oracle_import():
 def test_one_module_rejects_an_unknown_model():
     holders = [path.name for path in PACKAGE if "unknown correlation model" in path.read_text()]
     assert holders == ["model.py"]
+
+
+def _thread_owners(sources: dict) -> tuple:
+    """(modules that name ThreadPoolExecutor, ``module.function`` for
+    each call of ``_cpus``, the innermost enclosing function or
+    ``<module>``)."""
+    pools, callers = set(), set()
+
+    def names(node) -> set:
+        return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+    def visit(node, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if "ThreadPoolExecutor" in names(child):
+                pools.add(module)
+            if isinstance(child, ast.Call) and "_cpus" in names(child.func):
+                callers.add(f"{module}.{where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(pools), sorted(callers)
+
+
+def test_one_function_runs_threads():
+    # model._thread_map owns the thread policy; its callers ask it for
+    # workers and never count CPUs or build a pool themselves.
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert _thread_owners(sources) == (["model"], ["model._thread_map"])
+
+
+def test_scan_finds_pools_and_cpu_counts_outside_the_runner():
+    sources = {
+        "a": "from concurrent.futures import ThreadPoolExecutor\n",
+        "b": (
+            "import concurrent.futures\n"
+            "def f():\n"
+            "    def g():\n"
+            "        return model._cpus()\n"
+            "    return concurrent.futures.ThreadPoolExecutor(g())\n"
+        ),
+        "c": "n = _cpus()\ndef _cpus():\n    return 1\n",
+    }
+    assert _thread_owners(sources) == (["a", "b"], ["b.g", "c.<module>"])
 
 
 def test_result_types_hold_only_what_src_and_the_benchmark_read():

@@ -1,4 +1,6 @@
 import re
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +28,7 @@ from votephase.model import (
     SizeGuardExceeded,
     VotePhaseError,
     _size_text,
+    _thread_map,
     model_from_dict,
 )
 from votephase.montecarlo import (
@@ -391,6 +394,63 @@ class TestGridSpec:
         assert len(ps) == res
         assert ps[0] == float(lo) and ps[-1] == float(hi)
         assert all(a < b for a, b in zip(ps, ps[1:]))
+
+
+class TestThreadMap:
+    """``_thread_map`` yields in item order on at most the CPUs this
+    process may use, and no thread outlives the read."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_results_come_back_in_order(self, cpus, workers, monkeypatch):
+        monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
+
+        threads = set()
+
+        def slow_first(i):
+            # earlier items finish later when they run side by side
+            threads.add(threading.get_ident())
+            time.sleep(0.001 * (12 - i))
+            return i * i
+
+        before = threading.active_count()
+        assert list(_thread_map(slow_first, range(12), workers)) == [i * i for i in range(12)]
+        assert threading.active_count() == before
+        if min(cpus, workers) < 2:
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
+            assert len(threads) <= min(cpus, workers)
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (1, 8), (8, 1)])
+    def test_no_thread_starts(self, cpus, workers, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert list(_thread_map(str, range(3), workers)) == ["0", "1", "2"]
+        # the patch does catch a pool
+        monkeypatch.setattr("votephase.model._cpus", lambda: 2)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            list(_thread_map(str, range(3), 2))
+
+    @pytest.mark.parametrize("failing", [0, 2, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_item_error_reaches_reader_and_no_thread_outlives_it(self, cpus, failing, monkeypatch):
+        monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
+        error = ValueError("item failed")
+
+        def fn(i):
+            if i == failing:
+                raise error
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            list(_thread_map(fn, range(5), 5))
+        assert caught.value is error
+        assert threading.active_count() == before
 
 
 class TestSizeText:

@@ -1,12 +1,13 @@
 import math
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from votephase import montecarlo
+from votephase import model, montecarlo
 from votephase.analytic import estimated_error, mean_individual_error
 from votephase.diagnose import CLASS_ROWS_GUARD
 from votephase.model import (
@@ -64,7 +65,7 @@ class TestChunking:
 
     def test_chunk_i_draws_from_substream_i(self, monkeypatch):
         seed = RngSeed(seed=5)
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 8)
         draws = list(_per_chunk(3 * CHUNK_REPS, seed, lambda rng, m: rng.random()))
         assert draws == [make_rng(seed, i).random() for i in range(3)]
 
@@ -76,9 +77,9 @@ class TestChunking:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Pool)
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             list(_per_chunk(3 * CHUNK_REPS, RngSeed(seed=1), lambda rng, m: m))
         list(_per_chunk(100, RngSeed(seed=1), lambda rng, m: m))
         # one CPU or one chunk runs on the calling thread
@@ -86,9 +87,9 @@ class TestChunking:
 
     def test_cpus_are_those_this_process_may_use(self):
         if hasattr(os, "sched_getaffinity"):
-            assert montecarlo._cpus() == len(os.sched_getaffinity(0))
+            assert model._cpus() == len(os.sched_getaffinity(0))
         else:
-            assert montecarlo._cpus() == (os.cpu_count() or 1)
+            assert model._cpus() == (os.cpu_count() or 1)
 
 
 class TestMcError:
@@ -101,9 +102,26 @@ class TestMcError:
         seed = RngSeed(seed=42)
         results = []
         for cpus in (1, 8, 1):
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             results.append(mc_error(cfg, 50_000, seed))
         assert results[0] == results[1] == results[2]
+
+    def test_chunk_error_reaches_caller_and_no_thread_outlives_it(self, monkeypatch):
+        monkeypatch.setattr("votephase.model._cpus", lambda: 8)
+        error = RuntimeError("chunk failed")
+
+        def rng(seed, i):
+            if i == 1:
+                raise error
+            return make_rng(seed, i)
+
+        monkeypatch.setattr(montecarlo, "make_rng", rng)
+        before = threading.active_count()
+        # chunk 2 of 3 raises
+        with pytest.raises(RuntimeError) as caught:
+            mc_error(_cfg(11, 0.6, 0.4), 3 * CHUNK_REPS, RngSeed(seed=3))
+        assert caught.value is error
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "model",
@@ -193,9 +211,9 @@ class TestMcCorrelationMatrix:
             mc_correlation_matrix(Independent(), 5, 1e-9, 10_000, RngSeed(seed=61))
 
     def test_deterministic(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 1)
         a = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 8)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 8)
         b = mc_correlation_matrix(Independent(), 4, 0.5, 40_000, RngSeed(seed=67))
         np.testing.assert_array_equal(a.correlation, b.correlation)
         assert off_diagonal_mean(a.correlation) == off_diagonal_mean(b.correlation)
@@ -235,7 +253,7 @@ class TestMcCorrelationMatrix:
         # each chunk's n x n Gram matrix is added as it arrives;
         # holding them all until the last chunk grew the peak by one
         # Gram matrix per chunk
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 1)
         n = 200
 
         def peak(chunks: int) -> int:

@@ -758,12 +758,12 @@ class TestClassPmfs:
     def test_threads_change_no_value(self, cfg, monkeypatch):
         results = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+            monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
             results[cpus] = exact_error(cfg), [pmf.mass.tobytes() for pmf in class_pmfs(cfg)]
         assert results[1] == results[2]
 
     def test_large_geometric_pair_runs_on_worker_threads(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 2)
         threads = []
 
         def traced(*args):
@@ -788,16 +788,16 @@ class TestClassPmfs:
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(oracle, "_cpus", lambda: cpus)
+        monkeypatch.setattr("votephase.model._cpus", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", refuse)
         exact_error(cfg)
         # the patch does catch the threaded path
-        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 2)
         with pytest.raises(AssertionError, match="a thread was started"):
             class_pmfs(_geometric_cfg(GEOMETRIC_THREAD_MIN_N, 0.8))
 
     def test_size_guard_error_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 2)
         before = threading.active_count()
         n = GEOMETRIC_SIZE_GUARD + 1
         with pytest.raises(SizeGuardExceeded) as caught:
@@ -807,7 +807,7 @@ class TestClassPmfs:
 
     @pytest.mark.parametrize("failing", [0.6, 0.4], ids=["p", "q"])
     def test_pmf_error_reaches_caller_and_no_thread_outlives_it(self, failing, monkeypatch):
-        monkeypatch.setattr(oracle, "_cpus", lambda: 2)
+        monkeypatch.setattr("votephase.model._cpus", lambda: 2)
         error = SizeGuardExceeded("pmf failed")
 
         def pmf(model, n, rate):

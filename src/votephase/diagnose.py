@@ -11,7 +11,10 @@ Every rate, standard error and correlation is a function of exact
 integer counts of the 0/1 votes, read from one integer Gram matrix per
 class, so a pooled rate of exactly 1/2 is reported as 1/2, and each
 rate, standard error and pairwise correlation is within a few ulps of
-its exact value.
+its exact value. ``_gram`` is the one routine that forms a Gram and
+``_class_counts`` the one that turns it into these statistics;
+``montecarlo.mc_correlation_matrix`` reads its correlations of sampled
+votes through the same two.
 
 The verdict is a plug-in of point estimates into a discontinuous
 function, so the report attaches warnings whenever that is fragile:
@@ -51,8 +54,13 @@ RATE_CLAMP = 1e-9
 
 HIGH_CORRELATION = 0.5
 
-# Largest class diagnose accepts, in rows; see _class_counts.
+# Largest class diagnose accepts, in rows; see _gram.
 CLASS_ROWS_GUARD = 2**31
+
+# Most classifier columns diagnose accepts; see _gram. Its m x m arrays
+# take about 40 bytes per column pair in all: a 6-row CSV of 2**12
+# columns peaks at 687 MiB, and 2**13 columns would need about 2.6 GiB.
+CLASSIFIERS_GUARD = 2**12
 
 # Rows per float32 Gram slice: fewer than 2**24, so every count in it
 # is exact, and few enough that the slice's float32 copy stays small.
@@ -166,18 +174,44 @@ def _finite(x: float) -> Union[float, None]:
     return x if math.isfinite(x) else None
 
 
-def _class_counts(block: np.ndarray) -> tuple:
-    """Rates, SE and correlations of one class's 0/1 block, from exact counts.
+def _gram(block: np.ndarray) -> np.ndarray:
+    """The exact int64 Gram matrix block.T @ block of a 0/1 block.
 
-    One Gram G = block.T @ block holds them all: its diagonal gives the
-    column counts n_i, its off-diagonal the pair counts n_ij, and its
-    sum S2 the sum of the squared row sums. With N rows, m columns and
-    S1 = sum n_i, the pooled rate S1 / (N m) and the SE of the mean of
-    the per-row vote averages, sqrt((N S2 - S1^2) / (N^2 (N - 1) m^2)),
-    are each one correctly rounded division of exact integers. That SE
-    honors within-row correlation without modeling it. The correlations
-    come from _gram_correlation; a constant column's pairs are nan and
-    its index is reported back for a warning.
+    The only place a vote block meets its transpose. Slices of
+    _GRAM_ROWS rows are multiplied in float32, which holds each slice's
+    counts exactly, and summed in int64. A block of more than
+    CLASS_ROWS_GUARD rows or CLASSIFIERS_GUARD columns is refused before
+    any m x m array is allocated.
+    """
+    import numpy as np
+
+    rows, m = block.shape
+    # N * n_ij reaches N**2 in _class_counts, which fits in int64 for N <= 2**31.
+    _check_guard("diagnose class rows", rows, CLASS_ROWS_GUARD)
+    _check_guard("diagnose classifiers", m, CLASSIFIERS_GUARD)
+    gram = np.zeros((m, m), dtype=np.int64)
+    for lo in range(0, rows, _GRAM_ROWS):
+        chunk = block[lo : lo + _GRAM_ROWS].astype(np.float32)
+        gram += (chunk.T @ chunk).astype(np.int64)
+    return gram
+
+
+def _class_counts(gram: np.ndarray, rows: int) -> tuple:
+    """Rates, SE and correlations of one class's 0/1 block, from its Gram.
+
+    ``gram`` is the block's exact Gram G = block.T @ block (see _gram)
+    and ``rows`` its row count N. The diagonal of G gives the column
+    counts n_i, its off-diagonal the pair counts n_ij, and its sum S2
+    the sum of the squared row sums. With m columns and S1 = sum n_i,
+    the pooled rate S1 / (N m) and the SE of the mean of the per-row
+    vote averages, sqrt((N S2 - S1^2) / (N^2 (N - 1) m^2)), are each one
+    correctly rounded division of exact integers. That SE honors
+    within-row correlation without modeling it. The Pearson correlation
+    of columns i and j is (N n_ij - n_i n_j) / sqrt(v_i v_j) with
+    v_i = N n_i - n_i^2. Its numerator is exact in int64 while
+    N <= 2**31, so each entry is within a few ulps of its exact value
+    and the diagonal, v_i / sqrt(v_i v_i), is exactly 1.0. A constant
+    column has v_i = 0 and nan pairs; its index is reported back.
 
     Returns (member rates, pooled rate, SE, mean correlation, correlation
     matrix, constant column indices). With fewer than 2 rows the SE is
@@ -186,13 +220,7 @@ def _class_counts(block: np.ndarray) -> tuple:
     """
     import numpy as np
 
-    rows, m = block.shape
-    # N * n_ij reaches N**2, which fits in int64 for N <= 2**31.
-    _check_guard("diagnose class rows", rows, CLASS_ROWS_GUARD)
-    gram = np.zeros((m, m), dtype=np.int64)
-    for lo in range(0, rows, _GRAM_ROWS):
-        chunk = block[lo : lo + _GRAM_ROWS].astype(np.float32)
-        gram += (chunk.T @ chunk).astype(np.int64)
+    m = gram.shape[0]
     counts = np.diag(gram)
     s1, s2 = int(counts.sum()), int(gram.sum())
     rates, rate = counts / rows, s1 / (rows * m)
@@ -200,31 +228,11 @@ def _class_counts(block: np.ndarray) -> tuple:
     se = math.sqrt((rows * s2 - s1 * s1) / scale) if scale else float("nan")
     if rows < 2 or m < 2:
         return rates, rate, se, float("nan"), None, []
-    corr, constant = _gram_correlation(gram, rows)
-    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
-    return rates, rate, se, mean, corr, constant
-
-
-def _gram_correlation(gram: np.ndarray, rows: int) -> tuple:
-    """Pearson correlations of 0/1 columns from their exact int64 Gram.
-
-    With N = rows, column counts n_i on the diagonal and pair counts
-    n_ij off it, the correlation of columns i and j is
-    (N n_ij - n_i n_j) / sqrt(v_i v_j) with v_i = N n_i - n_i^2. The
-    numerators are exact in int64 while N <= 2**31 (N n_ij reaches
-    N**2), so each entry is within a few ulps of its exact value and the
-    diagonal, v_i / sqrt(v_i v_i), is exactly 1.0. A constant column has
-    v_i = 0 and nan pairs.
-
-    Returns (correlation matrix, constant column indices).
-    """
-    import numpy as np
-
-    counts = np.diag(gram)
     var = (rows * counts - counts * counts).astype(np.float64)
     with np.errstate(invalid="ignore"):
         corr = (rows * gram - np.outer(counts, counts)) / np.sqrt(np.outer(var, var))
-    return corr, np.flatnonzero(var == 0).tolist()
+    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
+    return rates, rate, se, mean, corr, np.flatnonzero(var == 0).tolist()
 
 
 def _nanmean(values: np.ndarray) -> float:
@@ -262,8 +270,9 @@ def diagnose(
     labels = matrix.labels
     warnings: list = []
 
-    p_hat_i, p_hat, p_se, corr1, corr1_matrix, constant1 = _class_counts(votes[labels == 1])
-    q_hat_i, q_hat, q_se, corr0, corr0_matrix, constant0 = _class_counts(votes[labels == 0])
+    ones, zeros = votes[labels == 1], votes[labels == 0]
+    p_hat_i, p_hat, p_se, corr1, corr1_matrix, constant1 = _class_counts(_gram(ones), len(ones))
+    q_hat_i, q_hat, q_se, corr0, corr0_matrix, constant0 = _class_counts(_gram(zeros), len(zeros))
 
     if prior_override is not None:
         pi_used, pi_source = prior_override.pi, "override"

@@ -10,7 +10,10 @@ most one per chunk; the thread count only changes wall time.
 
 Standard errors use the plug-in binomial formula sqrt(v (1 - v) / reps);
 replications are independent by construction so no batching correction
-is needed.
+is needed. Correlations of sampled votes come from the exact-count
+kernel ``diagnose`` uses on real votes: ``diagnose._gram`` forms each
+chunk's Gram and ``diagnose._class_counts`` turns their sum into
+correlations.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .diagnose import _gram_correlation, _lag_means
+from .diagnose import _class_counts, _gram, _lag_means
 from .model import (
     CorrelationModel,
     EnsembleConfig,
@@ -44,13 +47,15 @@ MC_SIZE_GUARD = 10_000
 # About 61,000 chunks. The chunk sizes and the pool's futures are all
 # built up front, and 10**18 reps would exhaust memory before the first
 # draw; refuse larger counts instead. It must stay at or below
-# diagnose.CLASS_ROWS_GUARD: mc_correlation_matrix forms reps * n_ij in
-# int64, which is exact only while reps <= 2**31.
+# diagnose.CLASS_ROWS_GUARD: diagnose._class_counts turns the summed
+# chunk Grams into correlations through reps * n_ij in int64, which is
+# exact only while reps <= 2**31.
 MC_REPS_GUARD = 10**9
 
-# mc_correlation_matrix holds several n x n arrays (the chunk Gram
-# matrices, their int64 sum, the correlation numerator and the
-# correlation); at MC_SIZE_GUARD they would take gigabytes.
+# mc_correlation_matrix holds several n x n arrays (the chunk Grams that
+# diagnose._gram forms, their int64 sum, and the correlation numerator
+# and correlation of diagnose._class_counts); at MC_SIZE_GUARD they
+# would take gigabytes.
 CORR_SIZE_GUARD = 1000
 
 
@@ -179,25 +184,21 @@ def mc_correlation_matrix(
 ) -> CorrelationSummary:
     """Pearson correlations between vote positions, from exact counts.
 
-    Each chunk's Gram matrix of its 0/1 votes (the count of ones at each
-    position and of joint ones at each pair) is computed in float32,
-    which holds it exactly: each entry counts at most CHUNK_REPS < 2**24
-    ones. The chunk Grams are summed in int64, and
-    ``diagnose._gram_correlation`` turns the total into correlations,
-    each within a few ulps of its exact value, with a diagonal of
-    exactly 1.0. ``lag_means`` holds the mean correlation at each
-    positive lag (the gamma**k diagnostic).
+    ``diagnose._gram`` forms each chunk's exact int64 Gram matrix of its
+    0/1 votes (the count of ones at each position and of joint ones at
+    each pair), the chunk Grams are summed, and ``diagnose._class_counts``
+    turns the total into correlations, as it does for a class of
+    ``diagnose``: each within a few ulps of its exact value, with a
+    diagonal of exactly 1.0. ``lag_means`` holds the mean correlation at
+    each positive lag (the gamma**k diagnostic).
     """
     n = _as_size(n, "n", minimum=2)
     _check_guard("Monte Carlo n", n, CORR_SIZE_GUARD)
     reps = _as_size(reps, "reps", minimum=10_000)
     r = _as_probability(rate, "rate")
 
-    def gram(rng: np.random.Generator, m: int) -> np.ndarray:
-        votes = sample_matrix(model, n, r, m, rng).astype(np.float32)
-        return (votes.T @ votes).astype(np.int64)
-
-    corr, constant = _gram_correlation(sum(_per_chunk(reps, seed, gram)), reps)
+    grams = _per_chunk(reps, seed, lambda rng, m: _gram(sample_matrix(model, n, r, m, rng)))
+    *_, corr, constant = _class_counts(sum(grams), reps)
     if constant:
         raise DegenerateVariance(
             f"zero empirical variance at positions {constant}; "

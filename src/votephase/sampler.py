@@ -54,6 +54,12 @@ _BLOCK_ROWS = 256
 # this before allocating anything.
 SAMPLE_COUNT_GUARD = 10**6
 
+# Most votes, n * count, one call returns: CHUNK_REPS vectors of
+# montecarlo.MC_SIZE_GUARD votes, the largest Monte Carlo call, whose
+# geometric chain holds two such bool matrices, about 330 MB. An n of
+# 10**12 would otherwise ask numpy for terabytes.
+SAMPLE_VOTES_GUARD = 16384 * 10_000
+
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -86,11 +92,12 @@ def make_rng(seed: RngSeed, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
-def _per_row_rates(rate: Union[float, np.ndarray], count: int) -> np.ndarray:
+def _per_row_rates(rate: Union[float, np.ndarray], n: int, count: int) -> np.ndarray:
     rates = np.asarray(rate, dtype=float)
     if rates.ndim != 0 and rates.shape != (count,):
         raise BadParameter(f"rate must be scalar or shape ({_size_text(count)},)")
     _check_guard("count", count, SAMPLE_COUNT_GUARD)
+    _check_guard("votes n * count", n * count, SAMPLE_VOTES_GUARD)
     if rates.ndim == 0:
         rates = np.full(count, float(rates))
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
@@ -128,8 +135,9 @@ def sample_matrix(
 
     Per-row rates let mixed-class batches sample both classes in one
     pass with a draw order independent of the label pattern. Every rate
-    must be a probability in [0, 1], and a count above
-    ``SAMPLE_COUNT_GUARD`` is refused before any array is allocated.
+    must be a probability in [0, 1]. A count above
+    ``SAMPLE_COUNT_GUARD``, or more than ``SAMPLE_VOTES_GUARD`` votes in
+    all, is refused before any array is allocated.
     The result is the transposed view of a C-contiguous (n, count)
     matrix, so it is not C-contiguous itself.
 
@@ -140,7 +148,7 @@ def sample_matrix(
     """
     n = _as_size(n, "n")
     count = _as_size(count, "count")
-    rates = _per_row_rates(rate, count)
+    rates = _per_row_rates(rate, n, count)
     check_model(model)
     if isinstance(model, Independent):
         (votes,) = _below(rng, rates, n, rates)

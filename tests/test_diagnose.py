@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from votephase.analytic import Phase, Side, limiting_delta
 from votephase.cli import main
 from votephase.diagnose import (
+    CLASSIFIERS_GUARD,
     NonBinaryEntry,
     PredictionMatrix,
     SingleClassData,
@@ -293,6 +295,41 @@ class TestClassRowsGuard:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "votephase: error: diagnose class rows=4 exceeds guard 3\n"
+
+
+class TestClassifiersGuard:
+    @pytest.fixture
+    def small_guard(self, monkeypatch):
+        # A matrix accepted at the guard's own value would take about
+        # 0.7 GiB, so both sides are tested at a small one.
+        module = importlib.import_module("votephase.diagnose")
+        monkeypatch.setattr(module, "CLASSIFIERS_GUARD", 3)
+
+    def test_library_refuses_a_matrix_over_the_guard(self, small_guard):
+        matrix = PredictionMatrix(labels=[1, 0], votes=[[1, 0, 1, 0]] * 2)
+        with pytest.raises(SizeGuardExceeded, match="^diagnose classifiers=4 exceeds guard 3$"):
+            diagnose(matrix)
+        assert diagnose(PredictionMatrix(labels=[1, 0], votes=[[1, 0, 1]] * 2)).n_classifiers == 3
+
+    def test_refuses_before_any_m_by_m_array(self):
+        m = CLASSIFIERS_GUARD + 1
+        matrix = PredictionMatrix(labels=[1, 0], votes=np.ones((2, m), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded, match=f"^diagnose classifiers={m} exceeds"):
+                diagnose(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m
+
+    def test_cli_prints_one_error_line(self, small_guard, capsys, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("y,f1,f2,f3,f4\n1,1,0,1,0\n0,0,1,0,1\n")
+        assert main(["diagnose", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "votephase: error: diagnose classifiers=4 exceeds guard 3\n"
 
 
 class TestReportSerialization:

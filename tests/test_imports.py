@@ -14,6 +14,8 @@ named in README.md: helpers only the tests use live in ``tests/``.
 
 Threads are started in one place: only ``model.py`` names
 ``ThreadPoolExecutor``, and only ``model._thread_map`` counts the CPUs.
+A vote block is multiplied by its transpose in one place too:
+``diagnose._gram``.
 """
 
 import ast
@@ -353,6 +355,49 @@ def test_scan_finds_pools_and_cpu_counts_outside_the_runner():
         "c": "n = _cpus()\ndef _cpus():\n    return 1\n",
     }
     assert _thread_owners(sources) == (["a", "b"], ["b.g", "c.<module>"])
+
+
+def _gram_products(sources: dict) -> list:
+    """``module.function`` for each ``@`` of an expression with its own
+    transpose (``x.T @ x`` or ``x @ x.T``), the innermost enclosing
+    function or ``<module>``."""
+    found = set()
+
+    def transposed(a, b) -> bool:
+        return isinstance(a, ast.Attribute) and a.attr == "T" and ast.dump(a.value) == ast.dump(b)
+
+    def visit(node, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                if transposed(child.left, child.right) or transposed(child.right, child.left):
+                    found.add(f"{module}.{where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(found)
+
+
+def test_one_function_forms_a_gram():
+    # diagnose._gram forms every Gram, exactly, for diagnose and for
+    # Monte Carlo alike; its callers pass it a 0/1 block.
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert _gram_products(sources) == ["diagnose._gram"]
+
+
+def test_scan_finds_gram_products_outside_the_kernel():
+    sources = {
+        "a": "g = x.T @ x\n",
+        "b": (
+            "def f(v):\n"
+            "    def g(w):\n"
+            "        return (w.astype(int) @ w.astype(int).T).sum()\n"
+            "    return v @ v, v.T @ w, g(v)\n"
+        ),
+        "c": "def h(rng, m):\n    votes = rng.random((m, 3))\n    return votes.T @ votes\n",
+    }
+    assert _gram_products(sources) == ["a.<module>", "b.g", "c.h"]
 
 
 def test_result_types_hold_only_what_src_and_the_benchmark_read():

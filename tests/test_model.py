@@ -45,7 +45,13 @@ from votephase.oracle import (
     brute_force_error,
     exact_vote_pmf,
 )
-from votephase.sampler import SAMPLE_COUNT_GUARD, RngSeed, make_rng, sample_matrix
+from votephase.sampler import (
+    SAMPLE_COUNT_GUARD,
+    SAMPLE_VOTES_GUARD,
+    RngSeed,
+    make_rng,
+    sample_matrix,
+)
 from reference import asymptotic_sigma_sq
 
 
@@ -522,8 +528,11 @@ def _config(n):
          MC_REPS_GUARD, "Monte Carlo reps=1000000001"),
         (lambda: sample_matrix(Independent(), 5, 0.5, SAMPLE_COUNT_GUARD + 1, make_rng(RngSeed(1))),
          SAMPLE_COUNT_GUARD, "count=1000001"),
+        (lambda: sample_matrix(Independent(), SAMPLE_VOTES_GUARD + 1, 0.5, 1, make_rng(RngSeed(1))),
+         SAMPLE_VOTES_GUARD, "votes n * count=163840001"),
     ],
-    ids=["grid", "geometric", "binomial", "brute-force", "mc-n", "mc-corr", "mc-reps", "sample-count"],
+    ids=["grid", "geometric", "binomial", "brute-force", "mc-n", "mc-corr", "mc-reps", "sample-count",
+         "sample-votes"],
 )
 def test_every_size_guard_refuses_through_one_type(call, guard, message):
     with pytest.raises(SizeGuardExceeded) as caught:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from votephase import model, montecarlo
 from votephase.analytic import estimated_error, mean_individual_error
-from votephase.diagnose import CLASS_ROWS_GUARD
+from votephase.diagnose import CLASS_ROWS_GUARD, CLASSIFIERS_GUARD
 from votephase.model import (
     BadParameter,
     BadSize,
@@ -33,7 +34,7 @@ from votephase.montecarlo import (
     mc_error,
 )
 from votephase.oracle import exact_error
-from votephase.sampler import RngSeed, make_rng, sample_matrix
+from votephase.sampler import SAMPLE_VOTES_GUARD, RngSeed, make_rng, sample_matrix
 
 from reference import exact_correlation, off_diagonal_mean, within_ulps
 
@@ -248,6 +249,22 @@ class TestMcCorrelationMatrix:
         # reps * n_ij is exact in int64 only for the row counts
         # diagnose accepts
         assert MC_REPS_GUARD <= CLASS_ROWS_GUARD
+
+    def test_chunk_grams_go_through_the_sliced_kernel(self, monkeypatch):
+        # with diagnose's Gram slices shorter than a chunk, each chunk
+        # Gram is summed from many slices, and every bit stays the same
+        diagnose = importlib.import_module("votephase.diagnose")
+        assert montecarlo._gram is diagnose._gram
+        args = (Geometric(gamma=0.5), 6, 0.4, 20_000, RngSeed(seed=79))
+        whole = mc_correlation_matrix(*args)
+        monkeypatch.setattr(diagnose, "_GRAM_ROWS", 16)
+        sliced = mc_correlation_matrix(*args)
+        assert sliced.correlation.tobytes() == whole.correlation.tobytes()
+        assert sliced.lag_means.tobytes() == whole.lag_means.tobytes()
+
+    def test_every_chunk_passes_the_sampler_and_gram_guards(self):
+        assert CHUNK_REPS * MC_SIZE_GUARD <= SAMPLE_VOTES_GUARD
+        assert CHUNK_REPS <= CLASS_ROWS_GUARD and CORR_SIZE_GUARD <= CLASSIFIERS_GUARD
 
     def test_peak_memory_flat_in_chunk_count(self, monkeypatch):
         # each chunk's n x n Gram matrix is added as it arrives;

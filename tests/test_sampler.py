@@ -17,9 +17,16 @@ from votephase.model import (
     Independent,
     Prior,
     RatePair,
+    SizeGuardExceeded,
 )
 from votephase.oracle import exact_vote_pmf
-from votephase.sampler import SAMPLE_COUNT_GUARD, RngSeed, make_rng, sample_matrix
+from votephase.sampler import (
+    SAMPLE_COUNT_GUARD,
+    SAMPLE_VOTES_GUARD,
+    RngSeed,
+    make_rng,
+    sample_matrix,
+)
 
 from reference import sample_labeled_votes, sample_matrix_reference
 
@@ -164,6 +171,23 @@ class TestSampleMatrixValidation:
             sample_matrix(model, 5, 0.5, count, rng)
         assert str(caught.value).endswith(f"exceeds guard {SAMPLE_COUNT_GUARD}")
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("n", [10**12, 10**5000], ids=["1e12", "1e5000"])
+    def test_votes_guard_refuses_a_huge_n_before_any_draw(self, model, n):
+        rng = make_rng(RngSeed(seed=1))
+        state = rng.bit_generator.state
+        with pytest.raises(SizeGuardExceeded) as caught:
+            sample_matrix(model, n, 0.5, 3, rng)
+        assert str(caught.value).startswith("votes n * count=")
+        assert str(caught.value).endswith(f"exceeds guard {SAMPLE_VOTES_GUARD}")
+        assert rng.bit_generator.state == state
+
+    def test_votes_guard_bounds_n_times_count(self):
+        rng = make_rng(RngSeed(seed=1))
+        count = SAMPLE_VOTES_GUARD // 2**12
+        with pytest.raises(SizeGuardExceeded, match=f"^votes n \\* count={SAMPLE_VOTES_GUARD + count} "):
+            sample_matrix(Independent(), 2**12 + 1, 0.5, count, rng)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_closed_unit_interval_accepted(self, model):

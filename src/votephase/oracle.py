@@ -13,7 +13,9 @@ Per model:
   about 2 ms at n = 10**6.
 * Geometric: transfer-matrix product for a stationary two-state Markov
   chain whose lag-k correlations are gamma**k, raised by halving and
-  binary powering with direct convolutions, five per squaring. Every
+  binary powering with direct convolutions: five per squaring, and four
+  once the matrix is wider than ``_BLOCK`` masses, where products also
+  split into cache-sized blocks and squares into halves. Every
   product keeps only the window of sums whose mass is at least
   ``_TRIM_FLOOR``, a subnormal far below the smallest normal double, so
   the far tails cost nothing, and is scaled by powers of two where its
@@ -21,8 +23,8 @@ Per model:
   factor pairs of at most n/2 + 1 masses each and reads each tail from
   them in O(n); its n + 1 masses are built on first read. O(n) memory.
   At r = 0.6 and gamma 0.3-0.99 on a 2-vCPU Xeon VM, the factors take
-  0.015-0.037 s at n = 20001 and 0.14-1.04 s at n = 10**5, and the
-  masses 0.01-0.05 s and 0.07-0.96 s more.
+  0.010-0.022 s at n = 20001 and 0.05-0.32 s at n = 10**5, and the
+  masses 0.006-0.024 s and 0.03-0.66 s more.
   From n = ``GEOMETRIC_THREAD_MIN_N`` the two class pmfs run on two
   threads (``class_pmfs``).
 * Equicorrelated: two-component mixture, lam * (shared coin) +
@@ -63,8 +65,8 @@ from .model import (
 
 # The geometric pmf costs O(w^2) for a window of w normal-double masses,
 # at most O(n^2); at this n and r = 0.6 one pmf's factors take
-# 0.14-1.04 s (gamma 0.3-0.99) on a 2-vCPU Xeon VM, and its masses
-# 0.07-0.96 s more, so refuse larger n rather than silently eat minutes
+# 0.05-0.32 s (gamma 0.3-0.99) on a 2-vCPU Xeon VM, and its masses
+# 0.03-0.66 s more, so refuse larger n rather than silently eat minutes
 # of CPU.
 GEOMETRIC_SIZE_GUARD = 100_000
 
@@ -85,12 +87,13 @@ BRUTE_FORCE_SIZE_GUARD = 20
 # threads (see ``class_pmfs``); below it the threads' contention for
 # the GIL can cost more than the overlap saves. On a 2-vCPU Xeon VM at
 # gamma 0.3 / 0.8 / 0.99 (p = 0.6, q = 0.4), threaded exact_error,
-# which computes only the factors, ran 0.73-0.90x as fast as in turn
-# at n = 5001 and, in medians over runs, 0.97 / 0.99 / 0.99x at 8001,
-# 1.18 / 1.10 / 1.21x at 9001, 1.14 / 1.20 / 1.14x at 10001 and
-# 1.42 / 1.56 / 1.58x at 20001 (each run the median of 11-15
-# alternations). 9001 and 10001 are within the runs' spread of each
-# other; the threshold stays where it was.
+# which computes only the factors, ran in medians of 21 alternations
+# 0.88 / 0.87 / 0.80x as fast as in turn at n = 5001,
+# 0.94 / 0.98 / 1.04x at 8001, 1.03 / 0.94 / 0.96x at 9001,
+# 1.15 / 0.97 / 1.19x at 10001, 1.15 / 1.08 / 1.21x at 12001 and
+# 1.36 / 1.48 / 1.39x at 20001, with the factors' wide products split
+# (``_convolve``, ``_square_power``). The gain begins between 9001 and
+# 10001, so the threshold stays.
 GEOMETRIC_THREAD_MIN_N = 10001
 
 # The smallest normal double; see the module docstring.
@@ -103,6 +106,13 @@ _TINY = float(np.finfo(float).tiny)
 # Each mass trimmed here is below 5e-11 tiny, and a mass at the floor
 # still holds 17 significant bits.
 _TRIM_FLOOR = 1e-318
+
+# np.convolve slows as its inner dot products outgrow the cache. A
+# product whose factors both hold more masses than this is split into
+# products whose narrower factor holds at most this many
+# (``_convolve``), and a transfer matrix wider than this squares by
+# reversibility (``_square_power``).
+_BLOCK = 2048
 
 
 class VotePmf:
@@ -226,31 +236,65 @@ def _poly_sum(a, b):
     return lo, out
 
 
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.convolve(x, y), which it is bit for bit when either factor holds
+    at most ``_BLOCK`` masses.
+
+    Wider, a self-product (``x is y``) splits x = lo + z**h hi and
+    recurses on lo**2 + 2 z**h lo hi + z**(2h) hi**2, which takes half
+    the multiply-adds: the squares fill disjoint ranges and the factor 2
+    is exact. Any other wide product sums np.convolve(block, y) over
+    blocks of x of ``_BLOCK`` masses, so every inner dot product runs
+    over at most ``_BLOCK`` masses of each factor.
+    """
+    if min(len(x), len(y)) <= _BLOCK:
+        return np.convolve(x, y)
+    out = np.zeros(len(x) + len(y) - 1)
+    if x is y:
+        h = len(x) // 2
+        lo, hi = x[:h], x[h:]
+        out[: 2 * h - 1] = _convolve(lo, lo)
+        out[2 * h :] = _convolve(hi, hi)
+        out[h : h + len(x) - 1] += 2.0 * _convolve(lo, hi)
+        return out
+    for i in range(0, len(x), _BLOCK):
+        block = x[i : i + _BLOCK]
+        out[i : i + len(block) + len(y) - 1] += np.convolve(block, y)
+    return out
+
+
 def _poly_product(a, b):
-    """a * b, trimmed. ``np.convolve`` multiplies directly: FFT error is
-    absolute, so it would swamp the tail masses.
+    """a * b, trimmed. It multiplies directly (``_convolve``): FFT error
+    is absolute, so it would swamp the tail masses. Up to ``_BLOCK``
+    masses in the narrower factor that is one np.convolve; wider, a
+    square (``a is b``) splits into halves at half the multiply-adds,
+    and any other product into blocks of ``_BLOCK`` masses.
 
     x86 takes a slow path for every subnormal result. So when the
     product of the two factors' smaller end masses is below tiny, as it
     always is when an end mass is subnormal, the factors are scaled by
     2**s in all before the convolution and the result by 2**-s after
     it, with s = min(1022, 1022 - ea - eb - bit_length(shorter length))
-    for largest masses below 2**ea and 2**eb: no partial sum can
+    for largest masses below 2**ea and 2**eb, less 1 if odd for a square
+    (``a is b``), so that both factors stay one array: no partial sum can
     overflow, and a product of normal masses is subnormal only if it
     was below 2**-(1022 + s). Scaling up by a power of two is exact on
     every double short of overflow, subnormals included, and scaling
     down is exact on every result that stays normal (Goldberg 1991), so
-    every mass is np.convolve's bit for bit unless one of its products
-    underflows.
+    every mass is the unscaled convolution's bit for bit unless one of
+    its products underflows.
     """
     if a is None or b is None:
         return None
     x, y = a[1], b[1]
     if min(x[0], x[-1]) * min(y[0], y[-1]) >= _TINY:
-        return _trimmed(a[0] + b[0], np.convolve(x, y))
+        return _trimmed(a[0] + b[0], _convolve(x, y))
     ea, eb = math.frexp(x.max())[1], math.frexp(y.max())[1]
     s = min(1022, 1022 - ea - eb - min(len(x), len(y)).bit_length())
-    masses = np.convolve(np.ldexp(x, s // 2), np.ldexp(y, s - s // 2))
+    if x is y:
+        s -= s % 2
+    xs = np.ldexp(x, s // 2)
+    masses = _convolve(xs, xs if x is y else np.ldexp(y, s - s // 2))
     return _trimmed(a[0] + b[0], np.ldexp(masses, -s))
 
 
@@ -283,6 +327,34 @@ def _square(m: list) -> list:
     ]
 
 
+def _scaled(p, factor: float, shift: int):
+    """factor * z**shift * p, trimmed."""
+    return None if p is None else _trimmed(p[0] + shift, p[1] * factor)
+
+
+def _square_power(m: list, kappa: float) -> list:
+    """m @ m for m = P**k, whose off-diagonal entries satisfy
+    c = kappa b / z (``_markov_factors``).
+
+    Once m is wider than ``_BLOCK`` this takes four products: a**2,
+    d**2, x**2 and x (a + d), for x = b if kappa <= 1 and x = c
+    otherwise. The other off-diagonal entry is x (a + d), and bc is
+    x**2, each scaled by kappa or 1 / kappa, whichever is at most 1, and
+    shifted by one power of z. A narrower matrix, an off-diagonal entry
+    0 or a kappa that is not finite and positive goes to ``_square``.
+    """
+    (a, b), (c, d) = m
+    wide = max((len(e[1]) for e in (a, b, c, d) if e is not None), default=0) > _BLOCK
+    if not wide or b is None or c is None or not 0.0 < kappa < math.inf:
+        return _square(m)
+    x, factor, shift = (b, kappa, -1) if kappa <= 1.0 else (c, 1.0 / kappa, 1)
+    x_trace = _poly_product(x, _poly_sum(a, d))
+    y_trace = _scaled(x_trace, factor, shift)
+    bc = _scaled(_poly_product(x, x), factor, shift)
+    b2, c2 = (x_trace, y_trace) if x is b else (y_trace, x_trace)
+    return [[_poly_sum(_poly_product(a, a), bc), b2], [c2, _poly_sum(_poly_product(d, d), bc)]]
+
+
 def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
     """Factors of the pgf of the sum of a stationary two-state Markov chain.
 
@@ -296,8 +368,20 @@ def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
 
     Write n - 1 = 2h, after one step v <- v P if n - 1 is odd; then the
     pgf is sum_j L_j R_j with L = v P**h and R = P**h 1, the row sums
-    of P**h. P**h comes from binary powering, each squaring from five
-    polynomial products (``_square``). An entry of P**k holds
+    of P**h. P**h comes from binary powering. Each squaring takes five
+    polynomial products (``_square``), or four once P**k is wider than
+    ``_BLOCK`` masses (``_square_power``). Every power of a 2 x 2 matrix
+    is alpha P + beta I (Cayley-Hamilton), so the off-diagonal entries
+    of P**k keep P's ratio: c = kappa b / z, with kappa = (1 - t11) / t01
+    from the double transitions. This is the reversibility of every
+    two-state chain (Kelly 1979, Reversibility and Stochastic Networks,
+    ch. 1). kappa = (1 - r) / r is wrong: the double transitions'
+    stationary law is not exactly r, and at n = 20001, r = 0.99,
+    gamma = 0.999 that kappa moves masses by up to 5.0e-12, where this
+    one keeps every mass within 1.3e-15 of whole products and
+    five-product squarings. Below ``_BLOCK`` every product is one
+    np.convolve, so factors up to n of about 4000 keep their bits. An
+    entry of P**k holds
     w(k) = min(k + 1, O(sqrt(k))) masses at or above ``_TRIM_FLOOR``,
     so L_j and R_j hold w(n/2) each: a tail needs O(w) work from them
     (``_factor_tail``), the n + 1 masses two w(n/2) x w(n/2)
@@ -312,6 +396,7 @@ def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
     total mass sum_j sum(L_j) sum(R_j).
     """
     t11, t01 = model.transitions(rate)
+    kappa = (1.0 - t11) / t01 if t01 else math.inf
     step = [_vote(t01), _vote(t11)]
     first = [_vote(rate)]
     if (n - 1) % 2:
@@ -319,7 +404,7 @@ def _markov_factors(n: int, rate: float, model: Geometric) -> tuple:
     one = (0, np.ones(1))
     half = [[one, None], [None, one]]
     for bit in bin((n - 1) // 2)[2:]:
-        half = _square(half)
+        half = _square_power(half, kappa)
         if bit == "1":
             half = _matmul(half, step)
     right = [_poly_sum(*row) for row in half]

@@ -150,10 +150,15 @@ class TestVotePmf:
         assert pmf.upper_tail(13) == 0.0
 
 
-# Geometric masses as the full-pmf oracle of commit 172710e computed
-# them, before a geometric pmf held its transfer-matrix factors:
-# (n, rate, gamma) -> float.hex of each mass, and for larger n the
-# SHA-256 of the little-endian float64 masses.
+# Geometric masses as the oracle computes them: (n, rate, gamma) ->
+# float.hex of each mass, and for larger n the SHA-256 of the
+# little-endian float64 masses. Up to n = 2001 they are the full-pmf
+# oracle's of commit 172710e, before a geometric pmf held its
+# transfer-matrix factors. At n = 10001 and 20001 the factors are wider
+# than ``oracle._BLOCK``, where products split into blocks and squarings
+# take four products; that rounds differently, so these two digests pin
+# the split products' masses, and ``tests/accuracy.py`` bounds their
+# error.
 _FROZEN_MASSES = {
     (1, 0.7, 0.9): ["0x1.3333333333334p-2", "0x1.6666666666666p-1"],
     (5, 0.6, 0.8): [
@@ -169,8 +174,8 @@ _FROZEN_MASSES = {
 _FROZEN_DIGESTS = {
     (2001, 0.6, 0.8): "d6b8dcb8b841ef12dd5f04ecaa0f1fa7bd9dc1bd716dc00fb2872758198a6620",
     (2001, 0.4, 0.8): "9e4bc29aa42d25b19c2719fa3bd973eccae2cc63a76ce27683990b78fa4d6432",
-    (10001, 0.6, 0.99): "13bfa111af1814d0e07d143db05c871f0006649d749c217ae48bf17b1130892c",
-    (20001, 0.6, 0.8): "397d6b4d72e266e56f17e4498bc6365b83e79648cf1bf46127e815a47995ab56",
+    (10001, 0.6, 0.99): "34d96da0754fd750800a4c4f4d6a231f9847a1757f99cb465b81797911811fdc",
+    (20001, 0.6, 0.8): "490fa67f1c18412bc6bb5a5f2a8641595f412c3ae1a3f4d3a8fde439e29adb95",
 }
 
 
@@ -544,8 +549,39 @@ def _random_poly(rng, tail):
     return int(rng.integers(0, 4)), masses
 
 
+def _wide_poly(rng, tail, width):
+    """(offset, masses) of ``width`` masses, the middle one in [0.5, 1)
+    and both end masses in [tail, 2 tail)."""
+    masses = np.exp(rng.uniform(math.log(tail), 0.0, width))
+    masses[rng.random(width) < 0.2] = 0.0
+    masses[width // 2] = rng.uniform(0.5, 1.0)
+    masses[[0, -1]] = tail * rng.uniform(1.0, 2.0, 2)
+    return int(rng.integers(0, 4)), masses
+
+
+def _assert_matches_rationals(a, b, product):
+    """Every mass of ``product`` = a * b at or above tiny is within
+    min(widths) x 2**-52 of the exact rational one; below tiny, the
+    exact mass is below 2 tiny."""
+    (oa, x), (ob, y) = a, b
+    exact = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(map(Fraction, x)):
+        for j, yj in enumerate(map(Fraction, y)):
+            exact[i + j] += xi * yj
+    got = np.zeros(len(exact))
+    if product is not None:
+        got[product[0] - oa - ob : product[0] - oa - ob + len(product[1])] = product[1]
+    bound = min(len(x), len(y)) * Fraction(2) ** -52
+    for value, want in zip(got, exact):
+        if value >= TINY:
+            assert abs(Fraction(value) - want) <= bound * want
+        else:
+            assert want < 2 * TINY
+
+
 class TestPolynomialProducts:
-    """``_square`` and the power-of-two scaling in ``_poly_product``."""
+    """``_square``, ``_square_power``, the block products of
+    ``_convolve`` and the power-of-two scaling in ``_poly_product``."""
 
     # Both sides trim end masses below the trim floor, each from different
     # partial sums, so a mass may differ by up to width x floor, well
@@ -610,20 +646,85 @@ class TestPolynomialProducts:
         if tail < TINY:
             for masses in (x, y):
                 masses[[0, -1]] = np.exp(rng.uniform(math.log(tail), math.log(TINY), 2))
-        product = oracle._poly_product((oa, x), (ob, y))
-        exact = [Fraction(0)] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(map(Fraction, x)):
-            for j, yj in enumerate(map(Fraction, y)):
-                exact[i + j] += xi * yj
-        got = np.zeros(len(exact))
-        if product is not None:
-            got[product[0] - oa - ob : product[0] - oa - ob + len(product[1])] = product[1]
-        bound = min(len(x), len(y)) * Fraction(2) ** -52
-        for value, want in zip(got, exact):
-            if value >= TINY:
-                assert abs(Fraction(value) - want) <= bound * want
-            else:
-                assert want < 2 * TINY
+        _assert_matches_rationals((oa, x), (ob, y), oracle._poly_product((oa, x), (ob, y)))
+
+    # Past the block width, patched here to 8 masses, a square splits in
+    # halves two or three levels deep and any other product sums block
+    # products. End masses of 1e-3 and 1e-150 take the plain path, tiny
+    # and the trim floor the scaled one, where a square scales both
+    # factors by one power of two and so still reaches the split. The
+    # scale s is odd at 25 masses and even at 50; a square evens it.
+    @pytest.mark.parametrize("square", [False, True], ids=["general", "square"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_wide_product_matches_exact_rationals(self, seed, square, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK", 8)
+        squares = []
+        convolve = oracle._convolve
+
+        def spy(x, y):
+            squares.append(x is y)
+            return convolve(x, y)
+
+        monkeypatch.setattr(oracle, "_convolve", spy)
+        rng = np.random.default_rng(seed)
+        tail = [1e-3, 1e-150, TINY, oracle._TRIM_FLOOR][seed % 4]
+        width = (25, 50)[seed // 4 % 2]
+        a = _wide_poly(rng, tail, width)
+        b = a if square else _wide_poly(rng, tail, width + 7)
+        product = oracle._poly_product(a, b)
+        assert squares[0] is square and (len(squares) > 3) is square
+        _assert_matches_rationals(a, b, product)
+
+    # A product whose narrower factor is at most the block width is one
+    # np.convolve, so every factor and mass of a pmf up to n of about
+    # 4000 keeps its bits. Widths are in block widths.
+    @pytest.mark.parametrize("blocks", [(1, 1), (1, 4), (3, 1), (0, 5), (0.1, 1)])
+    def test_product_within_the_block_width_is_convolve(self, blocks):
+        rng = np.random.default_rng(0)
+        x, y = (rng.uniform(0.1, 1.0, max(1, int(b * oracle._BLOCK))) for b in blocks)
+        assert np.array_equal(oracle._convolve(x, y), np.convolve(x, y))
+        for z in (x, y):
+            if len(z) <= oracle._BLOCK:
+                square = (0, z)
+                assert np.array_equal(oracle._poly_product(square, square)[1], np.convolve(z, z))
+
+    # From P**2048 to P**8192 the entries grow past the block width
+    # wherever the chain's window does. At r = 0, 1 and 5e-324 an
+    # off-diagonal entry is 0 or kappa is not finite, and below the
+    # block width the matrix is narrow: each of these squares by
+    # ``_square``, in five products, the rest by reversibility in four.
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 5e-324, 0.3, 0.99])
+    @pytest.mark.parametrize("gamma", [1e-9, 0.5, 0.99])
+    def test_square_power_matches_matmul_past_the_block_width(self, rate, gamma, product_widths):
+        t11, t01 = Geometric(gamma=gamma).transitions(rate)
+        kappa = (1.0 - t11) / t01 if t01 else math.inf
+        m = [oracle._vote(t01), oracle._vote(t11)]
+        for _ in range(11):
+            m = oracle._matmul(m, m)
+        counts = []
+        for k in range(11, 14):
+            want = oracle._matmul(m, m)
+            product_widths.clear()
+            got = oracle._square_power(m, kappa)
+            counts.append(len(product_widths))
+            for g, w in zip(sum(got, []), sum(want, [])):
+                self._assert_close(g, w, 2 ** (k + 1))
+            m = want
+        reversible = {(0.3, 1e-9), (0.3, 0.5), (0.3, 0.99), (0.99, 0.99)}
+        assert (4 in counts) is ((rate, gamma) in reversible)
+        assert set(counts) <= {4, 5}
+
+    # The whole pmf against one with every product one np.convolve and
+    # every squaring five products. kappa = (1 - r) / r in place of the
+    # double transitions' (1 - t11) / t01 moves masses at r = 0.99,
+    # gamma = 0.999 by about 4e-12.
+    @pytest.mark.parametrize("rate, gamma", [(0.99, 0.999), (0.01, 0.999), (0.3, 0.99)])
+    def test_split_products_keep_the_pmf_of_whole_products(self, rate, gamma, monkeypatch):
+        n = 10001
+        got = exact_vote_pmf(Geometric(gamma=gamma), n, rate).mass
+        monkeypatch.setattr(oracle, "_BLOCK", n)
+        want = exact_vote_pmf(Geometric(gamma=gamma), n, rate).mass
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=TINY)
 
 
 class TestNoSubnormals:

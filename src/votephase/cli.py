@@ -14,6 +14,10 @@ config keys: one table per spec lists them, and a key ``p_min`` is the
 flag --p-min (the model's kind and parameter are --model and
 --<param>). --step, --pmf, --reps, --seed, --stream and --conditional
 are flags only; --step is turned into the config's resolution.
+``_ensemble`` and ``_grid`` are the only code that turns a config dict
+into a spec: each checks the merged keys, then builds the rates, the
+prior and the model in that order, and the spec's own checks come last,
+so a bad file reports its first error in that order.
 Exit status: 0 success, 1 validation/usage error, 2 I/O error.
 
 Each subcommand imports only the layers it computes with. analytic and
@@ -39,8 +43,10 @@ from .model import (
     GridSpec,
     MODELS,
     Prior,
+    RatePair,
     VotePhaseError,
     model_class,
+    model_from_dict,
     step_resolution,
 )
 
@@ -123,8 +129,8 @@ def _model_dict(args: argparse.Namespace, config: dict) -> dict:
     """Merge model flags over the config file's "model", rejecting mismatches.
 
     With neither a model flag nor a "model" key, the model is independent.
-    A "model" key that is present, even as null, is left for the
-    spec's ``from_dict`` to check.
+    A "model" key that is present, even as null, is left for
+    ``model_from_dict`` to check.
     """
     file_model = config.get("model")
     # Each model's parameter has the flag --<param>, stored as args.<param>.
@@ -179,7 +185,8 @@ def _ensemble(args: argparse.Namespace) -> EnsembleConfig:
     missing = [k for k in _ENSEMBLE_FLAGS if k not in merged]
     if missing:
         raise BadParameter(f"missing required parameters: {', '.join(missing)}")
-    return EnsembleConfig.from_dict(merged)
+    rates, prior = RatePair(p=merged["p"], q=merged["q"]), Prior(pi=merged["pi"])
+    return EnsembleConfig(merged["n"], rates, prior, model_from_dict(merged["model"]))
 
 
 def _grid(args: argparse.Namespace) -> GridSpec:
@@ -193,7 +200,8 @@ def _grid(args: argparse.Namespace) -> GridSpec:
         merged["resolution"] = step_resolution(*axes, args.step)
     elif "resolution" not in merged:
         raise BadParameter("one of --step or --resolution is required")
-    return GridSpec.from_dict(merged)
+    prior, model = Prior(pi=merged.pop("pi")), model_from_dict(merged.pop("model"))
+    return GridSpec(**merged, prior=prior, model=model)
 
 
 def _row_fields(row: grid.GridRow) -> dict:

@@ -58,8 +58,9 @@ HIGH_CORRELATION = 0.5
 CLASS_ROWS_GUARD = 2**31
 
 # Most classifier columns diagnose accepts; see _gram. Its m x m arrays
-# take about 40 bytes per column pair in all: a 6-row CSV of 2**12
-# columns peaks at 687 MiB, and 2**13 columns would need about 2.6 GiB.
+# take about 16 bytes per column pair at a time (tracemalloc, 6 rows
+# at m = 1024 and 2048): a 6-row CSV of 2**12 columns peaks at 288 MiB
+# RSS, and 2**13 columns would need about 1.1 GiB.
 CLASSIFIERS_GUARD = 2**12
 
 # Rows per float32 Gram slice: fewer than 2**24, so every count in it
@@ -179,9 +180,9 @@ def _gram(block: np.ndarray) -> np.ndarray:
 
     The only place a vote block meets its transpose. Slices of
     _GRAM_ROWS rows are multiplied in float32, which holds each slice's
-    counts exactly, and summed in int64. A block of more than
-    CLASS_ROWS_GUARD rows or CLASSIFIERS_GUARD columns is refused before
-    any m x m array is allocated.
+    counts exactly, and added into the int64 Gram in place. A block of
+    more than CLASS_ROWS_GUARD rows or CLASSIFIERS_GUARD columns is
+    refused before any m x m array is allocated.
     """
     import numpy as np
 
@@ -192,7 +193,7 @@ def _gram(block: np.ndarray) -> np.ndarray:
     gram = np.zeros((m, m), dtype=np.int64)
     for lo in range(0, rows, _GRAM_ROWS):
         chunk = block[lo : lo + _GRAM_ROWS].astype(np.float32)
-        gram += (chunk.T @ chunk).astype(np.int64)
+        np.add(gram, chunk.T @ chunk, out=gram, casting="unsafe")
     return gram
 
 
@@ -213,6 +214,11 @@ def _class_counts(gram: np.ndarray, rows: int) -> tuple:
     and the diagonal, v_i / sqrt(v_i v_i), is exactly 1.0. A constant
     column has v_i = 0 and nan pairs; its index is reported back.
 
+    The caller hands the Gram over and must not read it again: it
+    becomes the int64 numerator in place and is divided into the
+    float64 correlation matrix, the only other m x m array, so about
+    16 bytes per column pair are held at a time.
+
     Returns (member rates, pooled rate, SE, mean correlation, correlation
     matrix, constant column indices). With fewer than 2 rows the SE is
     nan; with fewer than 2 rows or columns the mean correlation is nan
@@ -221,7 +227,7 @@ def _class_counts(gram: np.ndarray, rows: int) -> tuple:
     import numpy as np
 
     m = gram.shape[0]
-    counts = np.diag(gram)
+    counts = gram.diagonal().copy()
     s1, s2 = int(counts.sum()), int(gram.sum())
     rates, rate = counts / rows, s1 / (rows * m)
     scale = rows * rows * (rows - 1) * m * m
@@ -229,9 +235,20 @@ def _class_counts(gram: np.ndarray, rows: int) -> tuple:
     if rows < 2 or m < 2:
         return rates, rate, se, float("nan"), None, []
     var = (rows * counts - counts * counts).astype(np.float64)
+    gram *= rows
+    gram -= np.outer(counts, counts)
+    corr = np.outer(var, var)
+    np.sqrt(corr, out=corr)
     with np.errstate(invalid="ignore"):
-        corr = (rows * gram - np.outer(counts, counts)) / np.sqrt(np.outer(var, var))
-    mean = _nanmean(corr[~np.eye(m, dtype=bool)])
+        np.divide(gram, corr, out=corr)
+    del gram
+    # The mean runs over the off-diagonal entries in row-major order, the
+    # order a boolean mask picks them in; a mean over one triangle, or
+    # nan-as-zero sums, would round differently.
+    diagonal = corr.diagonal().copy()
+    np.fill_diagonal(corr, np.nan)
+    mean = _nanmean(corr.ravel())
+    np.fill_diagonal(corr, diagonal)
     return rates, rate, se, mean, corr, np.flatnonzero(var == 0).tolist()
 
 
@@ -243,11 +260,9 @@ def _nanmean(values: np.ndarray) -> float:
     return float(valid.mean()) if valid.size else float("nan")
 
 
-def _lag_means(corr: Union[np.ndarray, None]) -> Union[np.ndarray, None]:
+def _lag_means(corr: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    if corr is None:
-        return None
     return np.array([_nanmean(np.diag(corr, k)) for k in range(1, corr.shape[0])])
 
 
@@ -270,9 +285,14 @@ def diagnose(
     labels = matrix.labels
     warnings: list = []
 
-    ones, zeros = votes[labels == 1], votes[labels == 0]
-    p_hat_i, p_hat, p_se, corr1, corr1_matrix, constant1 = _class_counts(_gram(ones), len(ones))
-    q_hat_i, q_hat, q_se, corr0, corr0_matrix, constant0 = _class_counts(_gram(zeros), len(zeros))
+    def summary(block: np.ndarray) -> tuple:
+        # The lag means are read, and the m x m correlations dropped,
+        # before the next class forms its Gram.
+        *stats, corr, constant = _class_counts(_gram(block), len(block))
+        return *stats, _lag_means(corr) if assume_ordered and corr is not None else None, constant
+
+    p_hat_i, p_hat, p_se, corr1, lags1, constant1 = summary(votes[labels == 1])
+    q_hat_i, q_hat, q_se, corr0, lags0, constant0 = summary(votes[labels == 0])
 
     if prior_override is not None:
         pi_used, pi_source = prior_override.pi, "override"
@@ -339,8 +359,8 @@ def diagnose(
         err_majority=err_majority,
         verdict=verdict,
         warnings=warnings,
-        lag_means_class1=_lag_means(corr1_matrix) if assume_ordered else None,
-        lag_means_class0=_lag_means(corr0_matrix) if assume_ordered else None,
+        lag_means_class1=lags1,
+        lag_means_class0=lags0,
     )
 
 

@@ -366,19 +366,6 @@ class EnsembleConfig:
             "model": self.model.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnsembleConfig":
-        required = {"n", "p", "q", "pi", "model"}
-        missing = required - set(data)
-        if missing:
-            raise BadParameter(f"config missing keys: {sorted(missing)}")
-        return cls(
-            n=data["n"],
-            rates=RatePair(p=data["p"], q=data["q"]),
-            prior=Prior(pi=data["pi"]),
-            model=model_from_dict(data["model"]),
-        )
-
 
 ASYMPTOTIC = "asymptotic"
 
@@ -535,20 +522,3 @@ class GridSpec:
             "pi": self.prior.pi,
             "model": self.model.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        required = {"p_min", "p_max", "q_min", "q_max", "resolution", "n", "pi", "model"}
-        missing = required - set(data)
-        if missing:
-            raise BadParameter(f"grid spec missing keys: {sorted(missing)}")
-        return cls(
-            p_min=data["p_min"],
-            p_max=data["p_max"],
-            q_min=data["q_min"],
-            q_max=data["q_max"],
-            resolution=data["resolution"],
-            n=data["n"],
-            prior=Prior(pi=data["pi"]),
-            model=model_from_dict(data["model"]),
-        )

@@ -52,10 +52,11 @@ MC_SIZE_GUARD = 10_000
 # exact only while reps <= 2**31.
 MC_REPS_GUARD = 10**9
 
-# mc_correlation_matrix holds several n x n arrays (the chunk Grams that
-# diagnose._gram forms, their int64 sum, and the correlation numerator
-# and correlation of diagnose._class_counts); at MC_SIZE_GUARD they
-# would take gigabytes.
+# mc_correlation_matrix holds a few n x n arrays at a time (the Gram
+# each running chunk forms in diagnose._gram, their running int64 sum,
+# then the numerator and the correlation of diagnose._class_counts,
+# 16 bytes per pair); each int64 one takes 8 MB at this n and 800 MB at
+# MC_SIZE_GUARD.
 CORR_SIZE_GUARD = 1000
 
 

@@ -89,19 +89,21 @@ class TestAnalytic:
         assert payload["sigma_sq"]["p"] == "infinite"
         assert payload["config"]["model"] == {"kind": "equicorrelated", "lambda": 0.2}
 
-    def test_dump_config_round_trips(self, capsys):
+    def test_dump_config_round_trips(self, capsys, tmp_path):
         code, out, _ = _run(
             capsys,
             ["analytic", *BASE, "--model", "geometric", "--gamma", "0.6", "--dump-config"],
         )
         assert code == 0
-        cfg = EnsembleConfig.from_dict(json.loads(out))
-        assert cfg == EnsembleConfig(
+        assert json.loads(out) == EnsembleConfig(
             n=15,
             rates=RatePair(p=0.7, q=0.3),
             prior=Prior(pi=0.5),
             model=Geometric(gamma=0.6),
-        )
+        ).to_dict()
+        path = tmp_path / "config.json"
+        path.write_text(out)
+        assert _run(capsys, ["analytic", "--config", str(path), "--dump-config"]) == (0, out, "")
 
 
 _RATES = st.one_of(st.just(0.5), st.floats(min_value=0.01, max_value=0.99))
@@ -656,15 +658,18 @@ class TestPhaseGrid:
         )
         assert code == 1 and "asymptotic" in err
 
-    def test_dump_config_round_trips(self, capsys):
+    def test_dump_config_round_trips(self, capsys, tmp_path):
         code, out, _ = _run(
             capsys,
             ["phase-grid", "--resolution", "9", "--pi", "0.5", "--model", "geometric",
              "--gamma", "0.8", "--dump-config"],
         )
         assert code == 0
-        spec = GridSpec.from_dict(json.loads(out))
-        assert spec.resolution == (9, 9) and spec.model == Geometric(gamma=0.8)
+        spec = json.loads(out)
+        assert spec["resolution"] == 9 and spec["model"] == Geometric(gamma=0.8).to_dict()
+        path = tmp_path / "spec.json"
+        path.write_text(out)
+        assert _run(capsys, ["phase-grid", "--config", str(path), "--dump-config"]) == (0, out, "")
 
     @pytest.mark.parametrize(
         "axes",

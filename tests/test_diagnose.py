@@ -301,7 +301,7 @@ class TestClassifiersGuard:
     @pytest.fixture
     def small_guard(self, monkeypatch):
         # A matrix accepted at the guard's own value would take about
-        # 0.7 GiB, so both sides are tested at a small one.
+        # 0.3 GiB, so both sides are tested at a small one.
         module = importlib.import_module("votephase.diagnose")
         monkeypatch.setattr(module, "CLASSIFIERS_GUARD", 3)
 
@@ -322,6 +322,24 @@ class TestClassifiersGuard:
         finally:
             tracemalloc.stop()
         assert peak < m * m
+
+    @pytest.mark.parametrize("ordered", [False, True], ids=["unordered", "ordered"])
+    def test_peak_is_about_two_m_by_m_arrays(self, ordered):
+        # The int64 Gram becomes the correlation numerator in place, and
+        # each class drops its correlations before the next forms its
+        # Gram: about 16 bytes per column pair, where holding both
+        # classes' matrices and the mean's off-diagonal copy took 40.
+        m = 1024
+        votes = np.random.default_rng(5).integers(0, 2, size=(6, m))
+        matrix = PredictionMatrix(labels=[1, 0, 1, 0, 1, 0], votes=votes)
+        diagnose(matrix, assume_ordered=ordered)
+        tracemalloc.start()
+        try:
+            diagnose(matrix, assume_ordered=ordered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * m * m
 
     def test_cli_prints_one_error_line(self, small_guard, capsys, tmp_path):
         path = tmp_path / "preds.csv"

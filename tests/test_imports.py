@@ -15,7 +15,7 @@ named in README.md: helpers only the tests use live in ``tests/``.
 Threads are started in one place: only ``model.py`` names
 ``ThreadPoolExecutor``, and only ``model._thread_map`` counts the CPUs.
 A vote block is multiplied by its transpose in one place too:
-``diagnose._gram``.
+``diagnose._gram``. Only ``cli.py`` reads a config dict into a spec.
 """
 
 import ast
@@ -398,6 +398,44 @@ def test_scan_finds_gram_products_outside_the_kernel():
         "c": "def h(rng, m):\n    votes = rng.random((m, 3))\n    return votes.T @ votes\n",
     }
     assert _gram_products(sources) == ["a.<module>", "b.g", "c.h"]
+
+
+def _config_readers(sources: dict) -> tuple:
+    """(``module.Class`` for each class that defines ``from_dict``, each
+    module that calls ``model_from_dict``)."""
+    classes, callers = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                if "from_dict" in names:
+                    classes.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "model_from_dict":
+                    callers.add(module)
+    return sorted(classes), sorted(callers)
+
+
+def test_the_cli_is_the_one_reader_of_config_dicts():
+    # cli._ensemble and cli._grid turn every config dict into a spec; a
+    # library caller builds the spec with its constructor.
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert _config_readers(sources) == ([], ["cli"])
+
+
+def test_scan_finds_config_readers_outside_the_cli():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    @classmethod\n"
+            "    def from_dict(cls, data):\n"
+            "        return cls(model_from_dict(data))\n"
+        ),
+        "b": "import model\nspec = model.model_from_dict({})\n",
+        "c": "def from_dict(data):\n    return model_from_dict\n",
+    }
+    assert _config_readers(sources) == (["a.A"], ["a", "b"])
 
 
 def test_result_types_hold_only_what_src_and_the_benchmark_read():

@@ -1,3 +1,4 @@
+import json
 import re
 import threading
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votephase.analytic import estimated_error_asymptotic, sum_variance
+from votephase.cli import main
 from votephase.grid import point
 from votephase.model import (
     ASYMPTOTIC,
@@ -206,6 +208,18 @@ def test_configs_reject_a_registered_kind_on_another_class():
     with pytest.raises(BadParameter, match="^model must be a Independent, got "):
         GridSpec(0.1, 0.9, 0.1, 0.9, 3, 5, Prior(pi=0.5), _Impostor())
 
+
+def _dump_config(capsys, tmp_path, subcommand, data):
+    """(exit code, stdout JSON or else stderr) of ``subcommand --config
+    FILE --dump-config`` with ``data`` in FILE: the CLI is the one reader
+    of config dicts."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = main([subcommand, "--config", str(path), "--dump-config"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else err
+
+
 class TestEnsembleConfig:
     def _cfg(self, **kw):
         base = dict(n=5, rates=RatePair(p=0.7, q=0.3), prior=Prior(pi=0.5))
@@ -250,13 +264,9 @@ class TestEnsembleConfig:
             self._cfg(**{field: value})
         assert str(info.value) == message
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, capsys, tmp_path):
         cfg = self._cfg(model=Geometric(gamma=0.6))
-        assert EnsembleConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_from_dict_missing_keys(self):
-        with pytest.raises(BadParameter):
-            EnsembleConfig.from_dict({"n": 5, "p": 0.7})
+        assert _dump_config(capsys, tmp_path, "analytic", cfg.to_dict()) == (0, cfg.to_dict())
 
 
 class TestGridSpec:
@@ -272,11 +282,6 @@ class TestGridSpec:
         )
         base.update(kw)
         return GridSpec(**base)
-
-    def test_from_dict_missing_keys(self):
-        message = "grid spec missing keys: ['model', 'n', 'p_max', 'pi', 'q_max', 'q_min', 'resolution']"
-        with pytest.raises(BadParameter, match=re.escape(message)):
-            GridSpec.from_dict({"p_min": 0.1})
 
     def test_axis_hits_decimal_landmarks_exactly(self):
         spec = GridSpec(
@@ -374,19 +379,21 @@ class TestGridSpec:
         spec = self._spec(p_min=0.4, p_max=0.6, q_min=0.4, q_max=0.6, resolution=2)
         assert list(spec.points()) == [(0.4, 0.4), (0.4, 0.6), (0.6, 0.4), (0.6, 0.6)]
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, capsys, tmp_path):
         for spec in (
             self._spec(),
             self._spec(resolution=(3, 5), n=50, model=Equicorrelated(lam=0.7)),
         ):
-            assert GridSpec.from_dict(spec.to_dict()) == spec
+            assert _dump_config(capsys, tmp_path, "phase-grid", spec.to_dict()) == (0, spec.to_dict())
 
-    def test_from_dict_reads_a_json_resolution_pair_as_written(self):
+    def test_config_file_resolution_pair_is_read_as_written(self, capsys, tmp_path):
         data = {**self._spec().to_dict(), "resolution": [3, 5]}
-        assert GridSpec.from_dict(data).resolution == (3, 5)
+        assert _dump_config(capsys, tmp_path, "phase-grid", data) == (0, data)
         data["resolution"] = [3]
-        with pytest.raises(BadSize, match=re.escape("pair, got [3]")):
-            GridSpec.from_dict(data)
+        message = "resolution must be an int or an (int, int) pair, got [3]"
+        assert _dump_config(capsys, tmp_path, "phase-grid", data) == (
+            1, f"votephase: error: {message}\n"
+        )
 
     @given(
         lo=st.decimals(min_value="0.01", max_value="0.40", places=2),
